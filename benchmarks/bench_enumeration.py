@@ -1,57 +1,109 @@
-"""Timing comparison of the enumeration backends.
+"""Timing of the level-k trapezoid enumeration over all 2^L words.
 
-Runs the level-k trapezoid enumeration over all 2^L words with the numba
-kernels and with the pure-numpy fallback, and prints a table.
+For every (level, L) it times the marker/window-key kernel alone and the
+whole ``enumerate_level`` call (kernel, then one extraction per window key),
+best of ``--repeats``, and prints a table.  With ``--json FILE`` the table
+is also stored in FILE under the git revision of the imported ``bratteli``
+source (``-dirty`` when its working tree has changes), replacing an earlier
+record for the same revision.
 
     python benchmarks/bench_enumeration.py --levels 3 --lengths 14,16,18
+    python benchmarks/bench_enumeration.py --levels 4 --lengths 17,20 \\
+        --json BENCH_enumeration.json
 """
 
 import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
 import time
+from datetime import datetime, timezone
+from pathlib import Path
 
+import numpy as np
+
+import bratteli
 from bratteli import _kernels
-from bratteli.trapezoids import WidenSchedule, enumerate_level
+from bratteli.trapezoids import WidenSchedule, dependence_bound, enumerate_level
+
+SCHEDULE = WidenSchedule((1,))
 
 
-def time_backend(level, length, backend, repeats):
-    best = float("inf")
-    count = None
+def best_of(repeats, fn):
+    best, result = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        traps = enumerate_level(level, WidenSchedule((1,)), length, backend=backend)
+        result = fn()
         best = min(best, time.perf_counter() - t0)
-        count = len(traps)
-    return best, count
+    return best, result
+
+
+def measure(level, length, repeats):
+    pad_left, pad_right, _ = dependence_bound(level, SCHEDULE)
+    kernel_s, keys = best_of(repeats, lambda: _kernels.enumerate_block_window_keys(
+        length, level, pad_left, pad_right))
+    level_s, traps = best_of(repeats, lambda: enumerate_level(level, SCHEDULE, length))
+    return {"level": level, "L": length, "words": 1 << length,
+            "kernel_s": round(kernel_s, 4), "enumerate_level_s": round(level_s, 4),
+            "window_keys": int(keys.size), "trapezoids": len(traps)}
+
+
+def source_identity():
+    """Git revision and sha256 of the imported package's source files."""
+    src = Path(bratteli.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(src.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    try:
+        rev = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"],
+                             cwd=src, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        rev = "unknown"
+    return rev, digest.hexdigest()
+
+
+def store(path, args, rows):
+    rev, src_sha256 = source_identity()
+    records = json.loads(path.read_text()) if path.exists() else {}
+    records[rev] = {
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "src_sha256": src_sha256,
+        "python": platform.python_version(), "numpy": np.__version__,
+        "machine": platform.machine(), "cpus": os.cpu_count(),
+        "widths": list(SCHEDULE.widths), "repeats": args.repeats,
+        "rows": rows,
+    }
+    path.write_text(json.dumps(records, indent=2) + "\n")
+    print(f"stored under {rev!r} in {path}")
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--levels", type=int, default=3)
-    parser.add_argument("--lengths", default="14,16,18")
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--levels", type=int, default=3, help="levels 1..N")
+    parser.add_argument("--lengths", default="14,16,18", help="comma list of word lengths")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", type=Path, default=None, metavar="FILE",
+                        help="store the table in FILE under the source's git revision")
     args = parser.parse_args()
     lengths = [int(x) for x in args.lengths.split(",")]
 
-    backends = ["numpy"]
-    if _kernels._HAVE_NUMBA:
-        # warm the JIT so compile time does not pollute the comparison
-        enumerate_level(1, WidenSchedule((1,)), max(lengths) // 2 + 4, backend="numba")
-        backends.insert(0, "numba")
-    else:
-        print("numba unavailable (or disabled via BRATTELI_PURE_NUMPY); "
-              "timing numpy only")
-
-    print(f"{'level':>5} {'L':>3} {'words':>9} " +
-          " ".join(f"{b + ' [s]':>12}" for b in backends) + "   vertices")
+    print(f"{'level':>5} {'L':>3} {'words':>9} {'kernel [s]':>11} {'level [s]':>10} "
+          f"{'keys':>7} {'vertices':>8}")
+    rows = []
     for level in range(1, args.levels + 1):
         for length in lengths:
-            row = [f"{level:>5} {length:>3} {1 << length:>9}"]
-            count = None
-            for backend in backends:
-                best, count = time_backend(level, length, backend, args.repeats)
-                row.append(f"{best:>12.3f}")
-            row.append(f"   {count}")
-            print(" ".join(row))
+            if length < dependence_bound(level, SCHEDULE)[2]:
+                continue
+            row = measure(level, length, args.repeats)
+            rows.append(row)
+            print(f"{level:>5} {length:>3} {row['words']:>9} {row['kernel_s']:>11.3f} "
+                  f"{row['enumerate_level_s']:>10.3f} {row['window_keys']:>7} "
+                  f"{row['trapezoids']:>8}")
+    if args.json is not None:
+        store(args.json, args, rows)
 
 
 if __name__ == "__main__":

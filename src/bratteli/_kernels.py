@@ -1,11 +1,13 @@
-"""Batch kernels for exhaustive word enumeration.
+"""Batch kernel for exhaustive word enumeration.
 
 The only hot loop in the package is running the domination marker rule over
 every binary word of a given length and fingerprinting the block windows
-that determine trapezoids.  Two interchangeable backends implement it: a
-numba-jitted per-word loop (default) and a vectorized pure-numpy path.  Set
-``BRATTELI_PURE_NUMPY=1`` to force the numpy path; the numpy path is also
-the automatic fallback when numba is not importable.
+that determine trapezoids.  It is one chunked numpy path.
+
+Domination on k-blocks is unsigned-integer ``>=`` on their k-bit values, so
+the rule is a sliding-window maximum: with ``v[j]`` the value of the block
+starting at ``j`` and ``M[i] = max(v[i..i+k-1])``, a row-k marker sits at
+``n`` exactly when ``v[n] == M[i]`` for some ``i`` in ``n-k+1..n``.
 
 Occurrence keys pack ``core_width << 48 | window_bits`` into int64, where
 the window is the cell range that fully determines the trapezoid at one
@@ -14,87 +16,68 @@ core block.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _KEY_SHIFT = 48
 
-_FORCE_NUMPY = os.environ.get("BRATTELI_PURE_NUMPY", "").strip() not in ("", "0")
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("pure-numpy backend forced via BRATTELI_PURE_NUMPY")
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    _HAVE_NUMBA = False
+def marker_rows(words: np.ndarray, length: int, k: int) -> np.ndarray:
+    """``(hi-lo+1, N)`` bool array of row-k marker bits on the determined
+    range ``[lo, hi] = [k-1, length-2k+1]``; row ``n-lo`` is position ``n``.
 
-
-def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def word_bits(words: np.ndarray, length: int) -> np.ndarray:
-    """(N, length) uint8 cell matrix; cell 0 is the most significant bit."""
-    shifts = np.arange(length - 1, -1, -1, dtype=np.int64)
-    return ((words[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-# --- numpy backend ---------------------------------------------------------
-
-
-def marker_bits_numpy(bits: np.ndarray, k: int) -> np.ndarray:
-    """Row-k marker bits for a batch of words; True only on the determined
-    range ``[k-1, L-2k+1]``."""
-    n_words, length = bits.shape
-    out = np.zeros((n_words, length), dtype=np.bool_)
+    ``M[i]`` is the maximum over the k-window of block starts ``i..i+k-1``;
+    the determined positions are those whose every covering window lies
+    inside the word.
+    """
     lo, hi = k - 1, length - 2 * k + 1
     if lo > hi:
-        return out
-    width = hi - lo + 1
-    # dom[d][w, j]: block at lo+j dominates the block at lo+j+d
-    dom = {}
-    for d in range(-(k - 1), k):
-        dom_d = np.ones((n_words, width), dtype=np.bool_)
-        undecided = np.ones((n_words, width), dtype=np.bool_)
-        for t in range(k):
-            a = bits[:, lo + t:lo + t + width]
-            b = bits[:, lo + d + t:lo + d + t + width]
-            neq = a != b
-            dom_d &= ~(undecided & neq & (a == 0))
-            undecided &= ~neq
-        dom[d] = dom_d
-    marker = np.zeros((n_words, width), dtype=np.bool_)
-    for start in range(-(k - 1), 1):
-        window_ok = np.ones((n_words, width), dtype=np.bool_)
-        for t in range(k):
-            window_ok &= dom[start + t]
-        marker |= window_ok
-    out[:, lo:hi + 1] = marker
-    return out
+        return np.zeros((0, words.size), dtype=np.bool_)
+    # v[j]: value of the block starting at cell j (cell 0 is the most
+    # significant bit), built row by row straight into the narrowest dtype
+    mask = (1 << k) - 1
+    v = np.empty((length - k + 1, words.size), dtype=np.min_scalar_type(mask))
+    for j in range(length - k + 1):
+        np.bitwise_and(words >> (length - k - j), mask, out=v[j], casting="unsafe")
+    n_windows = length - 2 * k + 2
+    win_max = v[:n_windows].copy()
+    for t in range(1, k):
+        np.maximum(win_max, v[t:t + n_windows], out=win_max)
+    own = v[lo:hi + 1]
+    marks = own == win_max[lo:hi + 1]
+    for d in range(1, k):
+        marks |= own == win_max[lo - d:hi + 1 - d]
+    return marks
 
 
-def occurrence_keys_numpy(words: np.ndarray, length: int, k: int,
-                          pad_left: int, pad_right: int) -> np.ndarray:
+def occurrence_keys(words: np.ndarray, length: int, k: int,
+                    pad_left: int, pad_right: int) -> np.ndarray:
     """Window keys of every consecutive row-k marker pair whose determining
-    window fits inside the word."""
-    bits = word_bits(words, length)
-    marks = marker_bits_numpy(bits, k)
+    window fits inside the word.
+
+    Consecutive determined markers are at most k apart, so the search for
+    the end ``e`` of a block starting at ``s`` stops at ``s + k``: every
+    k-window of block starts inside the determined range holds its own
+    maximum, the argmax ``n`` has that window among its covering windows,
+    so ``v[n] == M[i]`` makes ``n`` a marker.  A gap of more than k
+    positions would contain such a window with no marker in it.
+    """
     lo, hi = k - 1, length - 2 * k + 1
+    marks = marker_rows(words, length, k)
+    e_max = min(hi, length - 1 - pad_right)
     parts = []
-    for s in range(max(lo, pad_left), hi + 1):
-        e_max = min(hi, length - 1 - pad_right)
-        for e in range(s + 1, e_max + 1):
-            sel = marks[:, s] & marks[:, e]
-            if e - s > 1:
-                sel &= ~marks[:, s + 1:e].any(axis=1)
+    for s in range(max(lo, pad_left), e_max):
+        # words with a marker at s and none yet in (s, e)
+        open_ = marks[s - lo].copy()
+        for e in range(s + 1, min(s + k, e_max) + 1):
+            sel = open_ & marks[e - lo]
+            open_ &= ~marks[e - lo]
             if not sel.any():
                 continue
             cw = e - s
             wlen = cw + pad_left + pad_right + 1
-            win = (words[sel] >> np.int64(length - 1 - (e + pad_right)))
+            win = words[sel] >> np.int64(length - 1 - (e + pad_right))
+            # ``words`` ascends, so equal windows from neighbouring words are adjacent
+            win = win[np.flatnonzero(np.diff(win, prepend=np.int64(-1)))]
             win &= (np.int64(1) << np.int64(wlen)) - 1
             parts.append(win | (np.int64(cw) << _KEY_SHIFT))
     if not parts:
@@ -102,114 +85,7 @@ def occurrence_keys_numpy(words: np.ndarray, length: int, k: int,
     return np.concatenate(parts)
 
 
-# --- numba backend ---------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _marker_bits_jit(bits, k, out):  # pragma: no cover - exercised via wrapper
-        n_words, length = bits.shape
-        lo = k - 1
-        hi = length - 2 * k + 1
-        for w in range(n_words):
-            for n in range(lo, hi + 1):
-                found = False
-                for i0 in range(n - k + 1, n + 1):
-                    ok = True
-                    for j in range(i0, i0 + k):
-                        dm = True
-                        for t in range(k):
-                            x = bits[w, n + t]
-                            y = bits[w, j + t]
-                            if x != y:
-                                dm = x == 1
-                                break
-                        if not dm:
-                            ok = False
-                            break
-                    if ok:
-                        found = True
-                        break
-                out[w, n] = found
-
-    @njit(cache=True)
-    def _occurrence_keys_jit(first, last, length, k, pad_left, pad_right, out):  # pragma: no cover
-        lo = k - 1
-        hi = length - 2 * k + 1
-        bits = np.empty(length, np.uint8)
-        mark = np.empty(length, np.uint8)
-        idx = 0
-        for w in range(first, last):
-            for c in range(length):
-                bits[c] = (w >> (length - 1 - c)) & 1
-            for n in range(lo, hi + 1):
-                found = False
-                for i0 in range(n - k + 1, n + 1):
-                    ok = True
-                    for j in range(i0, i0 + k):
-                        dm = True
-                        for t in range(k):
-                            x = bits[n + t]
-                            y = bits[j + t]
-                            if x != y:
-                                dm = x == 1
-                                break
-                        if not dm:
-                            ok = False
-                            break
-                    if ok:
-                        found = True
-                        break
-                mark[n] = 1 if found else 0
-            prev = -1
-            for n in range(lo, hi + 1):
-                if mark[n] == 1:
-                    if prev >= 0:
-                        s = prev
-                        e = n
-                        if s - pad_left >= 0 and e + pad_right <= length - 1:
-                            cw = e - s
-                            wlen = cw + pad_left + pad_right + 1
-                            win = (w >> (length - 1 - (e + pad_right))) & ((1 << wlen) - 1)
-                            out[idx] = (cw << 48) | win
-                            idx += 1
-                    prev = n
-        return idx
-
-    def marker_bits_numba(bits: np.ndarray, k: int) -> np.ndarray:
-        out = np.zeros(bits.shape, dtype=np.bool_)
-        if k - 1 <= bits.shape[1] - 2 * k + 1:
-            _marker_bits_jit(bits, k, out)
-        return out
-
-    def occurrence_keys_numba(first: int, last: int, length: int, k: int,
-                              pad_left: int, pad_right: int) -> np.ndarray:
-        out = np.empty((last - first) * length, dtype=np.int64)
-        count = _occurrence_keys_jit(first, last, length, k, pad_left, pad_right, out)
-        return out[:count]
-
-else:
-    marker_bits_numba = None
-    occurrence_keys_numba = None
-
-
-# --- dispatchers -----------------------------------------------------------
-
-
-def batch_marker_bits(bits: np.ndarray, k: int, backend: str | None = None) -> np.ndarray:
-    """Row-k marker bit matrix for a batch of words, via the selected backend."""
-    backend = backend or active_backend()
-    if backend == "numba":
-        if marker_bits_numba is None:
-            raise RuntimeError("numba backend unavailable")
-        return marker_bits_numba(bits, k)
-    if backend == "numpy":
-        return marker_bits_numpy(bits, k)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: int,
-                                backend: str | None = None,
                                 chunk_size: int = 1 << 16) -> np.ndarray:
     """Unique window keys over all ``2**length`` words.
 
@@ -220,20 +96,11 @@ def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: i
         raise ValueError(f"word length must be >= 1, got {length}")
     if length + 2 >= _KEY_SHIFT:
         raise ValueError(f"word length {length} too large for int64 window keys")
-    backend = backend or active_backend()
     n_words = 1 << length
     parts = []
     for first in range(0, n_words, chunk_size):
-        last = min(first + chunk_size, n_words)
-        if backend == "numba":
-            if occurrence_keys_numba is None:
-                raise RuntimeError("numba backend unavailable")
-            part = occurrence_keys_numba(first, last, length, k, pad_left, pad_right)
-        elif backend == "numpy":
-            words = np.arange(first, last, dtype=np.int64)
-            part = occurrence_keys_numpy(words, length, k, pad_left, pad_right)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        words = np.arange(first, min(first + chunk_size, n_words), dtype=np.int64)
+        part = occurrence_keys(words, length, k, pad_left, pad_right)
         if part.size:
             parts.append(np.unique(part))
     if not parts:

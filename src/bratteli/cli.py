@@ -159,6 +159,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "markers" and args.rows < 1:
         parser.error("--rows must be >= 1")
+    if args.command == "successor" and args.steps < 0:
+        parser.error("--steps must be >= 0")
     try:
         return args.func(args)
     except OSError as exc:

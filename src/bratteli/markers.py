@@ -67,14 +67,14 @@ def row_markers(word: str, k: int) -> MarkerRow:
     if lo > hi:
         raise ValueError(f"word of length {len(word)} too short for row {k}: "
                          "no position is determined")
-    positions = set()
-    for n in range(lo, hi + 1):
-        block = word[n:n + k]
-        for i in range(n - k + 1, n + 1):
-            if all(dominates(block, word[j:j + k]) for j in range(i, i + k)):
-                positions.add(n)
-                break
-    return MarkerRow(frozenset(positions), lo, hi)
+    # Equal-length binary strings compare like their integer values, so the
+    # dominating block of a window is its maximum; n is a marker iff its
+    # block equals the maximum of some window of starts containing n.
+    blocks = [word[j:j + k] for j in range(len(word) - k + 1)]
+    win_max = [max(blocks[i:i + k]) for i in range(hi + 1)]
+    positions = frozenset(n for n in range(lo, hi + 1)
+                          if blocks[n] in win_max[n - k + 1:n + 1])
+    return MarkerRow(positions, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
 
 
 def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
-                    word_length: int = 18, backend: str | None = None) -> tuple[Trapezoid, ...]:
+                    word_length: int = 18) -> tuple[Trapezoid, ...]:
     """All level-k trapezoids occurring in the binary full shift.
 
     Exhausts every word of ``word_length`` cells; complete because any
@@ -290,8 +290,7 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
     if word_length < min_len:
         raise InsufficientWindowError(
             f"word length {word_length} below the dependence bound {min_len} for level {k}")
-    keys = _kernels.enumerate_block_window_keys(word_length, k, pad_left, pad_right,
-                                                backend=backend)
+    keys = _kernels.enumerate_block_window_keys(word_length, k, pad_left, pad_right)
     found: set[Trapezoid] = set()
     for key in keys.tolist():
         cw, window = _kernels.decode_key(key, pad_left, pad_right)
@@ -306,8 +305,9 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
     listed left to right, plus the two external ones where the content
     window determines them (``None`` where it does not).
 
-    Every internal trapezoid must belong to ``level_set``; a miss means the
-    enumeration was incomplete.
+    Every internal trapezoid must belong to ``level_set`` (any container;
+    pass a set or dict for O(1) lookups); a miss means the enumeration was
+    incomplete.
     """
     if trap.level < 2:
         raise ValueError("level-1 trapezoids have no decomposition")
@@ -317,9 +317,8 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
     if not cuts or cuts[0] != 0 or cuts[-1] != trap.core_width:
         raise ValueError("core boundaries are missing from the row below the core")
     internal = [_extract(grid, a, b, k, schedule) for a, b in zip(cuts, cuts[1:])]
-    members = set(level_set)
     for t in internal:
-        if t not in members:
+        if t not in level_set:
             raise ValueError(
                 f"internal trapezoid not found in the level-{k} set:\n{canonical_text(t)}")
     external: list[Trapezoid | None] = []
@@ -336,7 +335,7 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
 
 
 def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule(),
-                  word_length: int = 18, backend: str | None = None) -> OrderedBratteliDiagram:
+                  word_length: int = 18) -> OrderedBratteliDiagram:
     """The ordered diagram whose level-k vertices are all k-trapezoids and
     whose edges are internal occurrences (order 0 = leftmost).
 
@@ -345,8 +344,7 @@ def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule(),
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    level_traps = [enumerate_level(k, schedule, word_length, backend=backend)
-                   for k in range(1, levels + 1)]
+    level_traps = [enumerate_level(k, schedule, word_length) for k in range(1, levels + 1)]
     sizes = [1] + [len(ts) for ts in level_traps]
     labels = {}
     for k, ts in enumerate(level_traps, start=1):
@@ -356,7 +354,7 @@ def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule(),
     for k in range(2, levels + 1):
         index = {t: i for i, t in enumerate(level_traps[k - 2])}
         for si, big in enumerate(level_traps[k - 1]):
-            internal, _ = decompose(big, level_traps[k - 2], schedule)
+            internal, _ = decompose(big, index, schedule)
             for occ, small in enumerate(internal):
                 edges.append(Edge(k, si, occ, index[small]))
     return OrderedBratteliDiagram(sizes, edges, labels)

@@ -91,6 +91,13 @@ def test_successor_missing_file(tmp_path):
     assert run("successor", str(tmp_path / "nope.bvd"), "0").returncode == 1
 
 
+def test_successor_negative_steps_is_usage_error(odometer_file):
+    res = run("successor", odometer_file, "0/0/0", "--steps", "-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--steps must be >= 0" in res.stderr
+
+
 def test_catalog_bvd_round_trips(tmp_path):
     res = run("catalog", "example-7-2", "--depth", "3", "--format", "bvd")
     assert res.returncode == 0
