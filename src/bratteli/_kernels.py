@@ -1,4 +1,5 @@
-"""Batch kernel for exhaustive word enumeration.
+"""The domination marker rule and the batch kernel for exhaustive word
+enumeration.
 
 The only hot loop in the package is running the domination marker rule over
 every binary word of a given length and fingerprinting the block windows
@@ -8,6 +9,8 @@ Domination on k-blocks is unsigned-integer ``>=`` on their k-bit values, so
 the rule is a sliding-window maximum: with ``v[j]`` the value of the block
 starting at ``j`` and ``M[i] = max(v[i..i+k-1])``, a row-k marker sits at
 ``n`` exactly when ``v[n] == M[i]`` for some ``i`` in ``n-k+1..n``.
+:func:`window_max_marks` is the package's only implementation of the rule;
+``markers.row_markers`` and batched trapezoid extraction call it too.
 
 Occurrence keys pack ``core_width << 48 | window_bits`` into int64, where
 the window is the cell range that fully determines the trapezoid at one
@@ -21,32 +24,44 @@ import numpy as np
 _KEY_SHIFT = 48
 
 
-def marker_rows(words: np.ndarray, length: int, k: int) -> np.ndarray:
-    """``(hi-lo+1, N)`` bool array of row-k marker bits on the determined
-    range ``[lo, hi] = [k-1, length-2k+1]``; row ``n-lo`` is position ``n``.
+def determined_range(length: int, k: int) -> tuple[int, int]:
+    """Positions whose row-k marker bit a word of ``length`` cells decides:
+    ``[k-1, length-2k+1]``; the bit at ``n`` reads cells ``n-k+1 .. n+2k-2``."""
+    return (k - 1, length - 2 * k + 1)
 
-    ``M[i]`` is the maximum over the k-window of block starts ``i..i+k-1``;
-    the determined positions are those whose every covering window lies
-    inside the word.
-    """
-    lo, hi = k - 1, length - 2 * k + 1
-    if lo > hi:
-        return np.zeros((0, words.size), dtype=np.bool_)
-    # v[j]: value of the block starting at cell j (cell 0 is the most
-    # significant bit), built row by row straight into the narrowest dtype
+
+def block_values(words: np.ndarray, length: int, k: int) -> np.ndarray:
+    """``(length-k+1, N)`` k-block values of int words in the narrowest unsigned
+    dtype; row ``j`` is the block at cell ``j`` (cell 0 is the top bit)."""
     mask = (1 << k) - 1
     v = np.empty((length - k + 1, words.size), dtype=np.min_scalar_type(mask))
     for j in range(length - k + 1):
         np.bitwise_and(words >> (length - k - j), mask, out=v[j], casting="unsafe")
-    n_windows = length - 2 * k + 2
-    win_max = v[:n_windows].copy()
+    return v
+
+
+def window_max_marks(v: np.ndarray, k: int) -> np.ndarray:
+    """The domination rule on ``(n_blocks, N)`` block values, of any dtype that
+    orders like the blocks (``object`` once k > 64): ``(hi-lo+1, N)`` bool
+    marker bits on the determined range ``[lo, hi]``, row ``n-lo`` for ``n``.
+    The determined positions are those whose every covering window of block
+    starts lies inside the word."""
+    lo, hi = determined_range(v.shape[0] + k - 1, k)
+    if lo > hi:
+        return np.zeros((0, v.shape[1]), dtype=np.bool_)
+    win_max = v[:hi + 1].copy()
     for t in range(1, k):
-        np.maximum(win_max, v[t:t + n_windows], out=win_max)
+        np.maximum(win_max, v[t:t + hi + 1], out=win_max)
     own = v[lo:hi + 1]
     marks = own == win_max[lo:hi + 1]
     for d in range(1, k):
         marks |= own == win_max[lo - d:hi + 1 - d]
     return marks
+
+
+def marker_rows(words: np.ndarray, length: int, k: int) -> np.ndarray:
+    """Row-k marker bits of int words of ``length`` cells (see :func:`window_max_marks`)."""
+    return window_max_marks(block_values(words, length, k), k)
 
 
 def occurrence_keys(words: np.ndarray, length: int, k: int,
@@ -61,7 +76,7 @@ def occurrence_keys(words: np.ndarray, length: int, k: int,
     so ``v[n] == M[i]`` makes ``n`` a marker.  A gap of more than k
     positions would contain such a window with no marker in it.
     """
-    lo, hi = k - 1, length - 2 * k + 1
+    lo, hi = determined_range(length, k)
     marks = marker_rows(words, length, k)
     e_max = min(hi, length - 1 - pad_right)
     parts = []
@@ -106,6 +121,14 @@ def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: i
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(parts))
+
+
+def windows_by_core_width(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Split window keys into ``(core_width, window bits)`` groups, in
+    ascending core width; a group's windows all have the same length."""
+    widths = keys >> _KEY_SHIFT
+    windows = keys & ((1 << _KEY_SHIFT) - 1)
+    return [(int(cw), windows[widths == cw]) for cw in np.unique(widths)]
 
 
 def decode_key(key: int, pad_left: int, pad_right: int) -> tuple[int, str]:

@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from . import catalog
-from .diagram import (BVDParseError, DiagramValidationError, deserialize,
-                      parse_path_spec, serialize, to_dot)
+from .diagram import deserialize, parse_path_spec, serialize, to_dot
 from .markers import mark_all_rows, render_marked_word
 from .trapezoids import InsufficientWindowError, WidenSchedule, build_diagram
 from .vershik import (extension_count, image_diameter_profile, interior_witness,
@@ -163,10 +162,7 @@ def main(argv=None) -> int:
         parser.error("--steps must be >= 0")
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BVDParseError, DiagramValidationError, InsufficientWindowError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the package's domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -412,9 +412,6 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
 
 def to_dot(diagram: OrderedBratteliDiagram) -> str:
     """DOT rendering: one rank per level, root on top, edges labeled by order."""
-    def dot_escape(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
     lines = ["digraph bratteli {", "  rankdir=BT;", "  node [shape=circle];"]
     for k in range(diagram.depth + 1):
         names = " ".join(f"n{k}_{i};" for i in range(diagram.level_size(k)))
@@ -424,7 +421,7 @@ def to_dot(diagram: OrderedBratteliDiagram) -> str:
             text = diagram.label(k, i)
             if text is None:
                 text = f"{k}:{i}"
-            lines.append(f'  n{k}_{i} [label="{dot_escape(text)}"];')
+            lines.append(f'  n{k}_{i} [label="{_escape(text)}"];')
     for k in range(1, diagram.depth + 1):
         for e in diagram.edges_at(k):
             lines.append(f'  n{k}_{e.source} -> n{k - 1}_{e.target} [label="{e.order}"];')

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._kernels import determined_range, window_max_marks
+
 
 def _check_word(word: str) -> None:
     if not set(word) <= {"0", "1"}:
@@ -50,14 +54,6 @@ class MarkerRow:
         return (self.lo, self.hi)
 
 
-def determined_range(word_length: int, k: int) -> tuple[int, int]:
-    """Positions whose row-k marker bit the word decides: ``[k-1, L-2k+1]``.
-
-    The bit at ``n`` reads cells ``n-k+1 .. n+2k-2``.
-    """
-    return (k - 1, word_length - 2 * k + 1)
-
-
 def row_markers(word: str, k: int) -> MarkerRow:
     """Evaluate the domination rule for row ``k`` on every determined position."""
     _check_word(word)
@@ -67,14 +63,11 @@ def row_markers(word: str, k: int) -> MarkerRow:
     if lo > hi:
         raise ValueError(f"word of length {len(word)} too short for row {k}: "
                          "no position is determined")
-    # Equal-length binary strings compare like their integer values, so the
-    # dominating block of a window is its maximum; n is a marker iff its
-    # block equals the maximum of some window of starts containing n.
-    blocks = [word[j:j + k] for j in range(len(word) - k + 1)]
-    win_max = [max(blocks[i:i + k]) for i in range(hi + 1)]
-    positions = frozenset(n for n in range(lo, hi + 1)
-                          if blocks[n] in win_max[n - k + 1:n + 1])
-    return MarkerRow(positions, lo, hi)
+    # object dtype once the block values outgrow uint64
+    values = np.array([int(word[j:j + k], 2) for j in range(len(word) - k + 1)],
+                      dtype=np.min_scalar_type((1 << k) - 1))
+    marks = window_max_marks(values[:, None], k)[:, 0]
+    return MarkerRow(frozenset((lo + np.flatnonzero(marks)).tolist()), lo, hi)
 
 
 @dataclass(frozen=True)

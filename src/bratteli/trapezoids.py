@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
 from .diagram import Edge, OrderedBratteliDiagram, PathPrefix
-from .markers import MarkedWord, mark_all_rows
+from .markers import MarkedWord
 
 
 class InsufficientWindowError(ValueError):
@@ -58,6 +60,18 @@ class TrapezoidRow:
     offset: int
     symbols: str
     markers: frozenset[int]
+
+    def symbol_at(self, p: int) -> str | None:
+        """The symbol of cell ``p``; None outside ``[offset, offset + len(symbols))``."""
+        if self.offset <= p < self.offset + len(self.symbols):
+            return self.symbols[p - self.offset]
+        return None
+
+    def marker_at(self, p: int) -> bool | None:
+        """Whether a marker sits at ``p``; None outside ``[offset, offset + len(symbols)]``."""
+        if self.offset <= p <= self.offset + len(self.symbols):
+            return p in self.markers
+        return None
 
 
 @dataclass(frozen=True)
@@ -155,96 +169,57 @@ def render_trapezoid(t: Trapezoid) -> str:
 # --- extraction ------------------------------------------------------------
 
 
-class _Grid:
-    """Read interface over a partially known symbol/marker plane.
-
-    Reads outside the known ranges raise :class:`InsufficientWindowError`;
-    extraction stays honest about what a finite window determines.
-    """
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.symbols: list[dict[int, str]] = [dict() for _ in range(depth)]
-        self.markers: list[set[int]] = [set() for _ in range(depth)]
-        self.sym_range: list[tuple[int, int]] = [(0, -1)] * depth
-        self.mark_range: list[tuple[int, int]] = [(0, -1)] * depth
-
-    @classmethod
-    def from_marked_word(cls, mw: MarkedWord, depth: int) -> "_Grid":
-        if depth > mw.depth:
-            raise ValueError(f"marked word has {mw.depth} rows, need {depth}")
-        g = cls(depth)
-        for r in range(1, depth + 1):
-            row = mw.row(r)
-            g.symbols[r - 1] = {i: c for i, c in enumerate(mw.word)}
-            g.sym_range[r - 1] = (0, len(mw.word) - 1)
-            g.markers[r - 1] = set(row.positions)
-            g.mark_range[r - 1] = (row.lo, row.hi)
-        return g
-
-    @classmethod
-    def from_trapezoid(cls, t: Trapezoid) -> "_Grid":
-        g = cls(t.level)
-        for r in range(1, t.level + 1):
-            row = t.row(r)
-            g.symbols[r - 1] = {row.offset + i: c for i, c in enumerate(row.symbols)}
-            g.sym_range[r - 1] = (row.offset, row.offset + len(row.symbols) - 1)
-            g.markers[r - 1] = set(row.markers)
-            g.mark_range[r - 1] = (row.offset, row.offset + len(row.symbols))
-        return g
-
-    def symbol(self, r: int, p: int) -> str:
-        lo, hi = self.sym_range[r - 1]
-        if not lo <= p <= hi:
-            raise InsufficientWindowError(f"row {r} cell {p} outside the known range [{lo}, {hi}]")
-        return self.symbols[r - 1][p]
-
-    def is_marker(self, r: int, p: int) -> bool:
-        lo, hi = self.mark_range[r - 1]
-        if not lo <= p <= hi:
-            raise InsufficientWindowError(
-                f"row {r} marker bit at {p} outside the determined range [{lo}, {hi}]")
-        return p in self.markers[r - 1]
+def _is_marker(rows: tuple[TrapezoidRow, ...], r: int, p: int) -> bool:
+    bit = rows[r - 1].marker_at(p)
+    if bit is None:
+        raise InsufficientWindowError(f"row {r} marker bit at {p} is outside the known window")
+    return bit
 
 
-def _extract(grid: _Grid, start: int, end: int, level: int, schedule: WidenSchedule) -> Trapezoid:
+def _extract(rows: tuple[TrapezoidRow, ...], start: int, end: int, level: int,
+             schedule: WidenSchedule) -> Trapezoid:
     """Extract the level-``level`` trapezoid whose core is the block
-    ``[start, end]``, normalized to core-left = 0."""
+    ``[start, end]``, normalized to core-left = 0.  ``rows[r-1]`` is what
+    is known of row r; reading outside it raises :class:`InsufficientWindowError`."""
     if end - start < 1:
         raise ValueError(f"empty core block ({start}, {end})")
-    if grid.depth < level:
-        raise ValueError(f"grid has {grid.depth} rows, need {level}")
-    if not grid.is_marker(level, start) or not grid.is_marker(level, end):
+    if len(rows) < level:
+        raise ValueError(f"{len(rows)} known rows, need {level}")
+    if not _is_marker(rows, level, start) or not _is_marker(rows, level, end):
         raise ValueError(f"block ends ({start}, {end}) are not row-{level} markers")
     for m in range(start + 1, end):
-        if grid.is_marker(level, m):
+        if _is_marker(rows, level, m):
             raise ValueError(f"block ({start}, {end}) contains an interior row-{level} marker")
     left = [start] * (level + 1)
     right = [end - 1] * (level + 1)
     for w in sorted(schedule.widths_below(level), reverse=True):
         edge = left[w]
-        if not grid.is_marker(w, edge):
+        if not _is_marker(rows, w, edge):
             raise ValueError(f"widening boundary {edge} is not a row-{w} marker")
         p = edge - 1
-        while not grid.is_marker(w, p):
+        while not _is_marker(rows, w, p):
             p -= 1
         for r in range(1, w + 1):
             left[r] = p
         edge = right[w] + 1
-        if not grid.is_marker(w, edge):
+        if not _is_marker(rows, w, edge):
             raise ValueError(f"widening boundary {edge} is not a row-{w} marker")
         q = edge + 1
-        while not grid.is_marker(w, q):
+        while not _is_marker(rows, w, q):
             q += 1
         for r in range(1, w + 1):
             right[r] = q - 1
-    rows = []
+    out = []
     for r in range(1, level + 1):
-        symbols = "".join(grid.symbol(r, p) for p in range(left[r], right[r] + 1))
-        marks = frozenset(p - start for p in range(left[r], right[r] + 2)
-                          if grid.is_marker(r, p))
-        rows.append(TrapezoidRow(left[r] - start, symbols, marks))
-    return Trapezoid(level, end - start, tuple(rows))
+        a, b = left[r], right[r] + 1
+        # the marker extent is the symbol extent plus one boundary, so both
+        # ends being known makes every cell and marker in between known
+        _is_marker(rows, r, a)
+        _is_marker(rows, r, b)
+        row = rows[r - 1]
+        marks = frozenset(p - start for p in row.markers if a <= p <= b)
+        out.append(TrapezoidRow(a - start, row.symbols[a - row.offset:b - row.offset], marks))
+    return Trapezoid(level, end - start, tuple(out))
 
 
 def k_blocks(mw: MarkedWord, k: int) -> list[tuple[int, int]]:
@@ -259,7 +234,9 @@ def k_blocks(mw: MarkedWord, k: int) -> list[tuple[int, int]]:
 def trapezoid_at(mw: MarkedWord, block: tuple[int, int], k: int,
                  schedule: WidenSchedule = WidenSchedule()) -> Trapezoid:
     """The level-k trapezoid over one k-block of a marked word."""
-    return _extract(_Grid.from_marked_word(mw, k), block[0], block[1], k, schedule)
+    # each marker row is known over its determined range
+    rows = tuple(TrapezoidRow(r.lo, mw.word[r.lo:r.hi], r.positions) for r in mw.rows[:k])
+    return _extract(rows, block[0], block[1], k, schedule)
 
 
 def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple[int, int, int]:
@@ -273,6 +250,24 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
     pad_left = margin + k - 1
     pad_right = margin + 2 * k - 1
     return pad_left, pad_right, k + pad_left + pad_right + 1
+
+
+# windows marked per kernel call in enumerate_level; bounds the bit arrays
+_MARK_SLICE = 1024
+
+
+def _window_rows(windows: np.ndarray, length: int, depth: int):
+    """Rows 1..``depth`` of each window word, each known over its determined
+    range; one kernel call per row marks a whole slice of windows."""
+    ranges = [_kernels.determined_range(length, r) for r in range(1, depth + 1)]
+    for first in range(0, windows.size, _MARK_SLICE):
+        part = windows[first:first + _MARK_SLICE]
+        bits = [_kernels.marker_rows(part, length, r).T.tolist() for r in range(1, depth + 1)]
+        for i, w in enumerate(part.tolist()):
+            word = format(w, f"0{length}b")
+            yield tuple(TrapezoidRow(lo, word[lo:hi],
+                                     frozenset(lo + j for j, b in enumerate(col[i]) if b))
+                        for (lo, hi), col in zip(ranges, bits))
 
 
 def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
@@ -292,10 +287,9 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
             f"word length {word_length} below the dependence bound {min_len} for level {k}")
     keys = _kernels.enumerate_block_window_keys(word_length, k, pad_left, pad_right)
     found: set[Trapezoid] = set()
-    for key in keys.tolist():
-        cw, window = _kernels.decode_key(key, pad_left, pad_right)
-        mw = mark_all_rows(window, k)
-        found.add(_extract(_Grid.from_marked_word(mw, k), pad_left, pad_left + cw, k, schedule))
+    for cw, windows in _kernels.windows_by_core_width(keys):
+        for rows in _window_rows(windows, cw + pad_left + pad_right + 1, k):
+            found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
     return tuple(sorted(found, key=canonical_text))
 
 
@@ -312,11 +306,10 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
     if trap.level < 2:
         raise ValueError("level-1 trapezoids have no decomposition")
     k = trap.level - 1
-    grid = _Grid.from_trapezoid(trap)
     cuts = sorted(p for p in trap.row(k).markers if 0 <= p <= trap.core_width)
     if not cuts or cuts[0] != 0 or cuts[-1] != trap.core_width:
         raise ValueError("core boundaries are missing from the row below the core")
-    internal = [_extract(grid, a, b, k, schedule) for a, b in zip(cuts, cuts[1:])]
+    internal = [_extract(trap.rows, a, b, k, schedule) for a, b in zip(cuts, cuts[1:])]
     for t in internal:
         if t not in level_set:
             raise ValueError(
@@ -325,10 +318,10 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
     for scan_from, step in ((-1, -1), (trap.core_width + 1, 1)):
         try:
             p = scan_from
-            while not grid.is_marker(k, p):
+            while not _is_marker(trap.rows, k, p):
                 p += step
             a, b = (p, 0) if step < 0 else (trap.core_width, p)
-            external.append(_extract(grid, a, b, k, schedule))
+            external.append(_extract(trap.rows, a, b, k, schedule))
         except InsufficientWindowError:
             external.append(None)
     return internal, (external[0], external[1])
@@ -380,16 +373,10 @@ class ArrayWindow:
         return len(self.rows)
 
     def symbol_at(self, r: int, p: int) -> str | None:
-        row = self.rows[r - 1]
-        if row.offset <= p < row.offset + len(row.symbols):
-            return row.symbols[p - row.offset]
-        return None
+        return self.rows[r - 1].symbol_at(p)
 
     def marker_at(self, r: int, p: int) -> bool | None:
-        row = self.rows[r - 1]
-        if row.offset <= p <= row.offset + len(row.symbols):
-            return p in row.markers
-        return None
+        return self.rows[r - 1].marker_at(p)
 
 
 def path_to_window(diagram: OrderedBratteliDiagram, prefix: PathPrefix,
@@ -418,7 +405,7 @@ def path_to_window(diagram: OrderedBratteliDiagram, prefix: PathPrefix,
         if occ >= len(cuts) - 1:
             raise ValueError(f"edge order {occ} exceeds the {len(cuts) - 1} internal "
                              f"occurrences of the level-{k} trapezoid")
-        got = _extract(_Grid.from_trapezoid(big), cuts[occ], cuts[occ + 1], k - 1, schedule)
+        got = _extract(big.rows, cuts[occ], cuts[occ + 1], k - 1, schedule)
         if got != traps[k - 2]:
             raise ValueError(f"label inconsistency at level {k - 1}: occurrence {occ} of the "
                              "parent trapezoid does not match the vertex label")

@@ -98,6 +98,33 @@ def test_successor_negative_steps_is_usage_error(odometer_file):
     assert "--steps must be >= 0" in res.stderr
 
 
+BAD_INPUTS = {
+    "garbage-bvd": ("diagnose", "{garbage}"),
+    "depth-0-bvd": ("diagnose", "{depth0}"),
+    "path-letter": ("successor", "{odometer}", "0/x/1"),
+    "path-empty": ("successor", "{odometer}", ""),
+    "word-not-binary": ("markers", "--word", "012", "--rows", "1"),
+    "levels-0": ("build-fullshift", "--levels", "0"),
+    "word-length-too-short": ("build-fullshift", "-k", "2", "-L", "3"),
+    "widths-0": ("build-fullshift", "--widths", "0"),
+    "widths-not-ints": ("build-fullshift", "--widths", "a,b"),
+    "catalog-depth-1": ("catalog", "example-7-2", "--depth", "1"),
+    "out-dir-missing": ("catalog", "odometer", "-o", "{missing}"),
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_reports_without_traceback(args, tmp_path, odometer_file):
+    files = {"garbage": tmp_path / "garbage.bvd", "depth0": tmp_path / "depth0.bvd",
+             "odometer": odometer_file, "missing": tmp_path / "missing" / "out.bvd"}
+    files["garbage"].write_text("hello world\n", encoding="utf-8")
+    files["depth0"].write_text("BVD 1\nDEPTH 0\nLEVEL 0 1\n", encoding="utf-8")
+    res = run(*(a.format(**files) for a in args))
+    assert res.returncode in (1, 2), res.stderr
+    assert res.stderr.startswith("error: " if res.returncode == 1 else "usage:"), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_catalog_bvd_round_trips(tmp_path):
     res = run("catalog", "example-7-2", "--depth", "3", "--format", "bvd")
     assert res.returncode == 0

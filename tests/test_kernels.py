@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -22,8 +23,23 @@ KEY_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def long_words(k: int) -> list[str]:
+    """Words longer than 64 cells.  Long runs of ones make nearby blocks
+    agree on long prefixes, so for k > 64 they first differ past the bits a
+    uint64 holds."""
+    rng = random.Random(k)
+    length = max(65, 3 * k - 2) + 10
+    words = ["1" * length, ("1" * (k - 1) + "0") * (length // k + 1)]
+    words += ["1" * a + "0" + "1" * (length - a - 1) for a in range(k - 1, length, 7)]
+    words += ["".join("0" if rng.random() < 0.05 else "1" for _ in range(length))
+              for _ in range(4)]
+    return [w[:length] for w in words]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 63, 64, 70])
 def test_marker_rule_matches_oracle(k):
+    for word in long_words(k):
+        assert row_markers(word, k).positions == oracle_row_positions(word, k), (word, k)
     for length in range(3 * k - 2, 13):
         words = np.arange(1 << length, dtype=np.int64)
         marks = _kernels.marker_rows(words, length, k)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bratteli.diagram import deserialize, serialize
@@ -220,6 +222,22 @@ def test_build_diagram_structure(fullshift3):
     # labels parse back into trapezoids
     for (k, v), text in fullshift3.labels.items():
         assert trapezoid_from_text(text).level == k
+
+
+# sha256 of the serialized diagram, as `build-fullshift -k K -L 17 -o` writes
+# it, recorded with the per-window extraction this build replaced
+BVD_DIGESTS = {
+    1: "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9",
+    2: "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d",
+    3: "80bc1b4086317aaa9e09db0a2dcdc66e5a7cc8aeeea1f01ee1520c3c0b5fb259",
+    4: "72ed80e7d1aca69029d7db739b2ce644399ecc6d2c0079222b6e7ff042f74335",
+}
+
+
+@pytest.mark.parametrize("levels", sorted(BVD_DIGESTS))
+def test_build_diagram_bvd_digest(levels):
+    text = serialize(build_diagram(levels, W1, 17))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BVD_DIGESTS[levels]
 
 
 def test_fullshift_extremal_prefix_counts(fullshift3):
