@@ -57,6 +57,38 @@ def example_7_1(depth: int) -> OrderedBratteliDiagram:
     return OrderedBratteliDiagram(sizes, edges)
 
 
+def _two_families(depth: int, centers: int) -> OrderedBratteliDiagram:
+    """A doubling left family (through u) and its mirror, the right family
+    (through w), around ``centers`` dyadic odometer columns (through v, or
+    v1, v2, ...).
+
+    At level k >= 2 the left family is V_k vertices 0..2^(k-1)-1, the
+    centers follow, then the right family.  Left vertex i has edges
+    (0 -> left parent i // 2, 1 -> center), right vertex i has edges
+    (0 -> center, 1 -> right parent i // 2), and each family splits between
+    the centers in equal consecutive runs.
+    """
+    if depth < 2:
+        raise ValueError(f"depth must be >= 2, got {depth}")
+    sizes = [1] + [2 ** k + centers for k in range(1, depth + 1)]
+    names = ["v"] if centers == 1 else [f"v{c}" for c in range(1, centers + 1)]
+    labels = {(1, i): name for i, name in enumerate(["u", *names, "w"])}
+    edges = [Edge(1, i, 0, 0) for i in range(centers + 2)]
+    for k in range(2, depth + 1):
+        nl, up = 2 ** (k - 1), 2 ** (k - 2)  # left-family sizes at V_k and V_{k-1}
+        for i in range(nl):
+            center = up + i * centers // nl
+            right = nl + centers + i
+            edges.append(Edge(k, i, 0, i // 2))
+            edges.append(Edge(k, i, 1, center))
+            edges.append(Edge(k, right, 0, center))
+            edges.append(Edge(k, right, 1, up + centers + i // 2))
+        for c in range(centers):
+            edges.append(Edge(k, nl + c, 0, up + c))
+            edges.append(Edge(k, nl + c, 1, up + c))
+    return OrderedBratteliDiagram(sizes, edges, labels)
+
+
 def example_7_2(depth: int) -> OrderedBratteliDiagram:
     """The u/v/w diagram: a doubling left family feeding a central dyadic
     odometer, mirrored by a right family.
@@ -66,30 +98,7 @@ def example_7_2(depth: int) -> OrderedBratteliDiagram:
     minimal, paths through w are maximal, and the center column carries one
     extremal prefix of each kind per depth.
     """
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
-    sizes = [1, 3] + [2 ** k + 1 for k in range(2, depth + 1)]
-    labels = {(1, 0): "u", (1, 1): "v", (1, 2): "w"}
-    edges = [Edge(1, i, 0, 0) for i in range(3)]
-    for k in range(2, depth + 1):
-        nl = 2 ** (k - 1)
-        if k == 2:
-            prev_left = lambda i: 0
-            prev_center = 1
-            prev_right = lambda j: 2
-        else:
-            prev_left = lambda i: i // 2
-            prev_center = 2 ** (k - 2)
-            prev_right = lambda j, base=2 ** (k - 2) + 1: base + j // 2
-        for i in range(nl):
-            edges.append(Edge(k, i, 0, prev_left(i)))
-            edges.append(Edge(k, i, 1, prev_center))
-        edges.append(Edge(k, nl, 0, prev_center))
-        edges.append(Edge(k, nl, 1, prev_center))
-        for j in range(nl):
-            edges.append(Edge(k, nl + 1 + j, 0, prev_center))
-            edges.append(Edge(k, nl + 1 + j, 1, prev_right(j)))
-    return OrderedBratteliDiagram(sizes, edges, labels)
+    return _two_families(depth, 1)
 
 
 def example_7_3(depth: int) -> OrderedBratteliDiagram:
@@ -99,33 +108,7 @@ def example_7_3(depth: int) -> OrderedBratteliDiagram:
     first half of each level attaches to the first column), and likewise
     the right family; the drawn level-3 pattern fixes this inference.
     """
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
-    sizes = [1, 4] + [2 ** k + 2 for k in range(2, depth + 1)]
-    labels = {(1, 0): "u", (1, 1): "v1", (1, 2): "v2", (1, 3): "w"}
-    edges = [Edge(1, i, 0, 0) for i in range(4)]
-    for k in range(2, depth + 1):
-        nl = 2 ** (k - 1)
-        half = nl // 2
-        if k == 2:
-            prev_left = lambda i: 0
-            prev_centers = (1, 2)
-            prev_right = lambda j: 3
-        else:
-            prev_left = lambda i: i // 2
-            base = 2 ** (k - 2)
-            prev_centers = (base, base + 1)
-            prev_right = lambda j, b=base + 2: b + j // 2
-        for i in range(nl):
-            edges.append(Edge(k, i, 0, prev_left(i)))
-            edges.append(Edge(k, i, 1, prev_centers[0 if i < half else 1]))
-        for c in (0, 1):
-            edges.append(Edge(k, nl + c, 0, prev_centers[c]))
-            edges.append(Edge(k, nl + c, 1, prev_centers[c]))
-        for j in range(nl):
-            edges.append(Edge(k, nl + 2 + j, 0, prev_centers[0 if j < half else 1]))
-            edges.append(Edge(k, nl + 2 + j, 1, prev_right(j)))
-    return OrderedBratteliDiagram(sizes, edges, labels)
+    return _two_families(depth, 2)
 
 
 CONSTRUCTORS = {

@@ -76,6 +76,8 @@ def cmd_successor(args) -> int:
 def cmd_diagnose(args) -> int:
     diagram = _read_diagram(args.diagram)
     k_max = diagram.depth
+    if k_max == 0:
+        raise ValueError("the diagram has no levels to diagnose")
     for n in range(1, k_max + 1):
         print(f"PREFIXES depth={n} maximal={len(maximal_prefixes(diagram, n))} "
               f"minimal={len(minimal_prefixes(diagram, n))}")
@@ -158,8 +160,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "markers" and args.rows < 1:
         parser.error("--rows must be >= 1")
-    if args.command == "successor" and args.steps < 0:
+    if args.command in ("successor", "diagnose") and args.steps < 0:
         parser.error("--steps must be >= 0")
+    if args.command == "diagnose" and args.probe_depth < 1:
+        parser.error("--probe-depth must be >= 1")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # the package's domain errors are ValueErrors

@@ -10,6 +10,8 @@ vertex; an edge of ``E_k`` runs from a *source* in ``V_k`` to a *target* in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 
@@ -79,15 +81,14 @@ class OrderedBratteliDiagram:
         self._out: dict[tuple[int, int], tuple[Edge, ...]] = {}
         self._in: dict[tuple[int, int], tuple[Edge, ...]] = {}
         self._index: dict[Edge, int] = {}
-        for k in range(1, len(self._sizes)):
-            outs: dict[int, list[Edge]] = {}
+        for k, level_edges in enumerate(self._edges, start=1):
+            # the (source, order) sort makes each fan one run of the level
+            for v, fan in groupby(level_edges, key=attrgetter("source")):
+                self._out[(k, v)] = tuple(fan)
             ins: dict[int, list[Edge]] = {}
-            for i, e in enumerate(self.edges_at(k)):
+            for i, e in enumerate(level_edges):
                 self._index[e] = i
-                outs.setdefault(e.source, []).append(e)
                 ins.setdefault(e.target, []).append(e)
-            for v, lst in outs.items():
-                self._out[(k, v)] = tuple(sorted(lst, key=lambda e: e.order))
             for v, lst in ins.items():
                 self._in[(k, v)] = tuple(lst)
 

@@ -35,6 +35,32 @@ def is_minimal_prefix(p: PathPrefix) -> bool:
     return all(e.order == 0 for e in p.edges)
 
 
+def _walk_up(diagram: OrderedBratteliDiagram, edges: list, level: int, v: int,
+             pick: int) -> None:
+    """Fill ``edges[:level]`` with the path from vertex ``v`` of V_level up to
+    the root that takes the fan entry at ``pick`` (0 = minimal, -1 = maximal)
+    at each level."""
+    for j in range(level - 1, -1, -1):
+        e = edges[j] = diagram.edges_from(j + 1, v)[pick]
+        v = e.target
+
+
+def _step(p: PathPrefix, delta: int, pick: int) -> PathPrefix | None:
+    """Move the least edge that can move by ``delta`` within its fan and
+    rebuild everything above it as the ``pick``-extremal chain; ``None`` when
+    no edge can move."""
+    _require_nonempty(p)
+    d = p.diagram
+    edges = list(p.edges)
+    for i, e in enumerate(edges):
+        fan = d.edges_from(e.level, e.source)
+        if 0 <= e.order + delta < len(fan):
+            edges[i] = fan[e.order + delta]
+            _walk_up(d, edges, i, edges[i].target, pick)
+            return PathPrefix(d, tuple(edges))
+    return None
+
+
 def successor(p: PathPrefix) -> PathPrefix | None:
     """The next prefix in inverse-lexicographic order, or ``None`` when all
     edges are maximal and the prefix does not determine its successor.
@@ -43,50 +69,22 @@ def successor(p: PathPrefix) -> PathPrefix | None:
     next-order edge at the same source, and rebuilds everything above as the
     chain of minimal-order edges.  The deep source vertex is preserved.
     """
-    _require_nonempty(p)
-    d = p.diagram
-    edges = list(p.edges)
-    for i, e in enumerate(edges):
-        fan = d.edges_from(e.level, e.source)
-        if e.order < len(fan) - 1:
-            edges[i] = fan[e.order + 1]
-            v = edges[i].target
-            for j in range(i - 1, -1, -1):
-                edges[j] = d.edges_from(j + 1, v)[0]
-                v = edges[j].target
-            return PathPrefix(d, tuple(edges))
-    return None
+    return _step(p, 1, 0)
 
 
 def predecessor(p: PathPrefix) -> PathPrefix | None:
     """Mirror of :func:`successor`: ``None`` when all edges are minimal."""
-    _require_nonempty(p)
-    d = p.diagram
-    edges = list(p.edges)
-    for i, e in enumerate(edges):
-        if e.order > 0:
-            fan = d.edges_from(e.level, e.source)
-            edges[i] = fan[e.order - 1]
-            v = edges[i].target
-            for j in range(i - 1, -1, -1):
-                edges[j] = d.edges_from(j + 1, v)[-1]
-                v = edges[j].target
-            return PathPrefix(d, tuple(edges))
-    return None
+    return _step(p, -1, -1)
 
 
 def _extremal_prefixes(diagram: OrderedBratteliDiagram, depth: int, pick: int) -> set[PathPrefix]:
     if not 1 <= depth <= diagram.depth:
         raise ValueError(f"depth {depth} outside 1..{diagram.depth}")
     out = set()
+    edges: list = [None] * depth
     for v in range(diagram.level_size(depth)):
-        chain = []
-        u = v
-        for k in range(depth, 0, -1):
-            e = diagram.edges_from(k, u)[pick]
-            chain.append(e)
-            u = e.target
-        out.add(PathPrefix(diagram, tuple(reversed(chain))))
+        _walk_up(diagram, edges, depth, v, pick)
+        out.add(PathPrefix(diagram, tuple(edges)))
     return out
 
 
@@ -116,7 +114,7 @@ def interior_witness(diagram: OrderedBratteliDiagram, side: Side, depth: int,
     if probe_depth < 1:
         raise ValueError(f"probe depth must be >= 1, got {probe_depth}")
     limit = min(depth + probe_depth, diagram.depth)
-    want_max = side == "max"
+    pick = -1 if side == "max" else 0
     memo: dict[tuple[int, int], bool] = {}
 
     def all_extremal_below(vertex: int, level: int) -> bool:
@@ -127,16 +125,15 @@ def interior_witness(diagram: OrderedBratteliDiagram, side: Side, depth: int,
             return memo[key]
         ok = True
         for e in diagram.edges_to(level + 1, vertex):
-            fan = diagram.edges_from(level + 1, e.source)
-            extremal = e.order == (len(fan) - 1 if want_max else 0)
+            extremal = diagram.edges_from(level + 1, e.source)[pick] == e
             if not (extremal and all_extremal_below(e.source, level + 1)):
                 ok = False
                 break
         memo[key] = ok
         return ok
 
-    base = maximal_prefixes(diagram, depth) if want_max else minimal_prefixes(diagram, depth)
-    hits = [p for p in base if all_extremal_below(p.source[1], depth)]
+    hits = [p for p in _extremal_prefixes(diagram, depth, pick)
+            if all_extremal_below(p.source[1], depth)]
     return sorted(hits, key=lambda p: p.indices())
 
 
@@ -183,15 +180,16 @@ def image_diameter_profile(diagram: OrderedBratteliDiagram, n_max: int,
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    current: list[PathPrefix | None] = sorted(minimal_prefixes(diagram, depth),
-                                              key=lambda p: p.indices())
+    current: list[PathPrefix | None] = list(minimal_prefixes(diagram, depth))
+    size = len(current)
     profile = []
     for n in range(n_max + 1):
-        determined = [p for p in current if p is not None]
-        profile.append(ProfilePoint(prefix_set_diameter(determined),
-                                    len(current) - len(determined)))
+        profile.append(ProfilePoint(prefix_set_diameter(current), size - len(current)))
         if n < n_max:
-            current = [None if p is None else successor(p) for p in current]
+            # in place, so each prefix is freed as soon as its image exists
+            for i, p in enumerate(current):
+                current[i] = successor(p)
+            current = [p for p in current if p is not None]
     return profile
 
 

@@ -7,10 +7,21 @@ successor oracle sorts explicitly enumerated prefixes.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
+import bratteli
 from bratteli.diagram import OrderedBratteliDiagram, PathPrefix
 from bratteli.trapezoids import WidenSchedule, build_diagram
+
+# `python -m bratteli` in a subprocess, importing the same package tree as the
+# tests do, whether or not the package is installed
+CLI = [sys.executable, "-m", "bratteli"]
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(bratteli.__file__)))
+CLI_ENV = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def oracle_row_positions(word: str, k: int) -> set[int]:

@@ -7,7 +7,6 @@ import itertools
 import math
 import random
 import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -23,7 +22,7 @@ from bratteli.trapezoids import (WidenSchedule, build_diagram, enumerate_level,
 from bratteli.vershik import (all_prefixes, image_diameter_profile,
                               interior_witness, is_maximal_prefix,
                               minimal_prefixes, orbit, successor)
-from conftest import enumerate_prefixes, inverse_lex_key
+from conftest import CLI, CLI_ENV, enumerate_prefixes, inverse_lex_key
 
 W1 = WidenSchedule((1,))
 WORD_LENGTH = 18
@@ -53,10 +52,9 @@ def test_01_level_counts_via_cli(report, tmp_path):
     with report("01 level-counts"):
         started = time.monotonic()
         res = subprocess.run(
-            [sys.executable, "-m", "bratteli", "build-fullshift",
-             "--levels", "3", "--word-length", str(WORD_LENGTH),
-             "--widths", "1", "-o", str(tmp_path / "fullshift.bvd")],
-            capture_output=True, text=True)
+            CLI + ["build-fullshift", "--levels", "3", "--word-length", str(WORD_LENGTH),
+                   "--widths", "1", "-o", str(tmp_path / "fullshift.bvd")],
+            capture_output=True, text=True, env=CLI_ENV)
         elapsed = time.monotonic() - started
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == ["V_1 = 2", "V_2 = 11", "V_3 = 15"]

@@ -1,16 +1,14 @@
 import subprocess
-import sys
 
 import pytest
 
 from bratteli.catalog import example_7_2, odometer
 from bratteli.diagram import serialize
-
-BASE = [sys.executable, "-m", "bratteli"]
+from conftest import CLI, CLI_ENV
 
 
 def run(*args, **kw):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True, **kw)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV, **kw)
 
 
 @pytest.fixture
@@ -98,6 +96,17 @@ def test_successor_negative_steps_is_usage_error(odometer_file):
     assert "--steps must be >= 0" in res.stderr
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--steps", "-1", "--steps must be >= 0"),
+    ("--probe-depth", "0", "--probe-depth must be >= 1"),
+])
+def test_diagnose_bad_options_are_usage_errors(odometer_file, option, value, message):
+    res = run("diagnose", odometer_file, option, value)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage:") and message in res.stderr
+
+
 BAD_INPUTS = {
     "garbage-bvd": ("diagnose", "{garbage}"),
     "depth-0-bvd": ("diagnose", "{depth0}"),
@@ -113,16 +122,25 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_reports_without_traceback(args, tmp_path, odometer_file):
+# the whole stderr, where it is pinned
+BAD_INPUT_MESSAGES = {
+    "depth-0-bvd": "error: the diagram has no levels to diagnose\n",
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     files = {"garbage": tmp_path / "garbage.bvd", "depth0": tmp_path / "depth0.bvd",
              "odometer": odometer_file, "missing": tmp_path / "missing" / "out.bvd"}
     files["garbage"].write_text("hello world\n", encoding="utf-8")
     files["depth0"].write_text("BVD 1\nDEPTH 0\nLEVEL 0 1\n", encoding="utf-8")
-    res = run(*(a.format(**files) for a in args))
+    res = run(*(a.format(**files) for a in BAD_INPUTS[name]))
     assert res.returncode in (1, 2), res.stderr
     assert res.stderr.startswith("error: " if res.returncode == 1 else "usage:"), res.stderr
     assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+    if name in BAD_INPUT_MESSAGES:
+        assert res.stderr == BAD_INPUT_MESSAGES[name]
 
 
 def test_catalog_bvd_round_trips(tmp_path):

@@ -158,6 +158,25 @@ def test_enumerate_level_stabilizes():
         assert a == b
 
 
+# (widths, level) -> distinct trapezoids; the slow (1, 2) level-3 case
+# compares the minimum length with min + 1 only
+COMPLETENESS_CASES = {((1,), 1): 2, ((1,), 2): 11, ((1,), 3): 15,
+                      ((1, 2), 1): 2, ((1, 2), 2): 11, ((1, 2), 3): 87,
+                      ((1, 3), 1): 2, ((1, 3), 2): 11, ((1, 3), 3): 15}
+
+
+@pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES),
+                         ids=[f"w{'-'.join(map(str, w))}-k{k}" for w, k in sorted(COMPLETENESS_CASES)])
+def test_enumerate_level_complete_at_dependence_bound(widths, k):
+    schedule = WidenSchedule(widths)
+    shortest = dependence_bound(k, schedule)[2]
+    extra = 1 if (widths, k) == ((1, 2), 3) else 2
+    found = enumerate_level(k, schedule, shortest)
+    assert len(found) == COMPLETENESS_CASES[widths, k]
+    for length in range(shortest + 1, shortest + extra + 1):
+        assert enumerate_level(k, schedule, length) == found
+
+
 def test_enumerate_level_word_length_bound():
     _, _, min3 = dependence_bound(3, W1)
     with pytest.raises(InsufficientWindowError):
