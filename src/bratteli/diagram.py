@@ -31,7 +31,7 @@ class DiagramValidationError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     code: str
     message: str
@@ -39,7 +39,7 @@ class Violation:
     vertex: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Edge of E_level: source in V_level, target in V_{level-1}."""
 
@@ -78,19 +78,25 @@ class OrderedBratteliDiagram:
             for k in range(1, len(self._sizes))
         )
         self._labels = dict(labels or {})
-        self._out: dict[tuple[int, int], tuple[Edge, ...]] = {}
-        self._in: dict[tuple[int, int], tuple[Edge, ...]] = {}
+        # fan tables: _out[k - 1][v] holds the E_k edges sourced at v in V_k,
+        # _in[k - 1][u] those targeting u in V_{k-1}; an edge whose source
+        # (target) lies outside its level is left out of _out (_in)
+        self._out: list[list[tuple[Edge, ...]]] = []
+        self._in: list[list[tuple[Edge, ...]]] = []
         self._index: dict[Edge, int] = {}
         for k, level_edges in enumerate(self._edges, start=1):
+            fans: list[tuple[Edge, ...]] = [()] * self._sizes[k]
             # the (source, order) sort makes each fan one run of the level
             for v, fan in groupby(level_edges, key=attrgetter("source")):
-                self._out[(k, v)] = tuple(fan)
-            ins: dict[int, list[Edge]] = {}
+                if 0 <= v < len(fans):
+                    fans[v] = tuple(fan)
+            ins: list[list[Edge]] = [[] for _ in range(self._sizes[k - 1])]
             for i, e in enumerate(level_edges):
                 self._index[e] = i
-                ins.setdefault(e.target, []).append(e)
-            for v, lst in ins.items():
-                self._in[(k, v)] = tuple(lst)
+                if 0 <= e.target < len(ins):
+                    ins[e.target].append(e)
+            self._out.append(fans)
+            self._in.append([tuple(lst) for lst in ins])
 
     @property
     def depth(self) -> int:
@@ -113,19 +119,19 @@ class OrderedBratteliDiagram:
 
     def edges_from(self, level: int, vertex: int) -> tuple[Edge, ...]:
         """Edges sourced at ``vertex`` in V_level, ascending by order."""
-        if not 1 <= level <= self.depth:
+        if not 1 <= level < len(self._sizes):
             raise IndexError(f"edge level {level} outside 1..{self.depth}")
         if not 0 <= vertex < self._sizes[level]:
             raise IndexError(f"vertex {vertex} outside V_{level}")
-        return self._out.get((level, vertex), ())
+        return self._out[level - 1][vertex]
 
     def edges_to(self, level: int, vertex: int) -> tuple[Edge, ...]:
         """Edges of E_level whose target is ``vertex`` in V_{level-1}."""
-        if not 1 <= level <= self.depth:
+        if not 1 <= level < len(self._sizes):
             raise IndexError(f"edge level {level} outside 1..{self.depth}")
         if not 0 <= vertex < self._sizes[level - 1]:
             raise IndexError(f"vertex {vertex} outside V_{level - 1}")
-        return self._in.get((level, vertex), ())
+        return self._in[level - 1][vertex]
 
     def edge_index(self, e: Edge) -> int:
         """Position of ``e`` within the serialized E_level list."""
@@ -195,7 +201,7 @@ class OrderedBratteliDiagram:
                 f"level_sizes={list(self._sizes)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathPrefix:
     """Finite path from the root: edges ``e_1..e_N`` with ``e_k`` in E_k.
 

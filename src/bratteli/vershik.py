@@ -40,8 +40,9 @@ def _walk_up(diagram: OrderedBratteliDiagram, edges: list, level: int, v: int,
     """Fill ``edges[:level]`` with the path from vertex ``v`` of V_level up to
     the root that takes the fan entry at ``pick`` (0 = minimal, -1 = maximal)
     at each level."""
+    fans = diagram._out  # validated diagrams only: no range checks per level
     for j in range(level - 1, -1, -1):
-        e = edges[j] = diagram.edges_from(j + 1, v)[pick]
+        e = edges[j] = fans[j][v][pick]
         v = e.target
 
 
@@ -51,13 +52,14 @@ def _step(p: PathPrefix, delta: int, pick: int) -> PathPrefix | None:
     no edge can move."""
     _require_nonempty(p)
     d = p.diagram
-    edges = list(p.edges)
-    for i, e in enumerate(edges):
-        fan = d.edges_from(e.level, e.source)
+    fans = d._out
+    for i, e in enumerate(p.edges):
+        fan = fans[e.level - 1][e.source]
         if 0 <= e.order + delta < len(fan):
-            edges[i] = fan[e.order + delta]
-            _walk_up(d, edges, i, edges[i].target, pick)
-            return PathPrefix(d, tuple(edges))
+            moved = fan[e.order + delta]
+            edges = [None] * i
+            _walk_up(d, edges, i, moved.target, pick)
+            return PathPrefix(d, (*edges, moved, *p.edges[i + 1:]))
     return None
 
 
@@ -77,25 +79,27 @@ def predecessor(p: PathPrefix) -> PathPrefix | None:
     return _step(p, -1, -1)
 
 
-def _extremal_prefixes(diagram: OrderedBratteliDiagram, depth: int, pick: int) -> set[PathPrefix]:
+def _extremal_prefixes(diagram: OrderedBratteliDiagram, depth: int, pick: int) -> list[PathPrefix]:
+    """One ``pick``-extremal prefix per vertex of V_depth, in vertex order;
+    distinct, since their deep vertices differ."""
     if not 1 <= depth <= diagram.depth:
         raise ValueError(f"depth {depth} outside 1..{diagram.depth}")
-    out = set()
+    out = []
     edges: list = [None] * depth
     for v in range(diagram.level_size(depth)):
         _walk_up(diagram, edges, depth, v, pick)
-        out.add(PathPrefix(diagram, tuple(edges)))
+        out.append(PathPrefix(diagram, tuple(edges)))
     return out
 
 
 def maximal_prefixes(diagram: OrderedBratteliDiagram, depth: int) -> set[PathPrefix]:
     """The depth-N prefixes all of whose edges are maximal; one per deep
     vertex, since the extremal edge at each source is unique."""
-    return _extremal_prefixes(diagram, depth, -1)
+    return set(_extremal_prefixes(diagram, depth, -1))
 
 
 def minimal_prefixes(diagram: OrderedBratteliDiagram, depth: int) -> set[PathPrefix]:
-    return _extremal_prefixes(diagram, depth, 0)
+    return set(_extremal_prefixes(diagram, depth, 0))
 
 
 def interior_witness(diagram: OrderedBratteliDiagram, side: Side, depth: int,
@@ -155,12 +159,17 @@ def prefix_set_diameter(prefixes) -> float:
     ps = list(prefixes)
     if len(ps) <= 1:
         return 0.0
-    shared = 0
-    for level_edges in zip(*(p.edges for p in ps)):
-        first = level_edges[0]
-        if any(e != first for e in level_edges[1:]):
+    # two prefixes share at least the lesser of what each shares with the
+    # first, so the least over all pairs is the least against the first
+    first = ps[0].edges
+    shared = len(first)
+    for p in ps[1:]:
+        edges = p.edges
+        shared = min(shared, len(edges))
+        while edges[:shared] != first[:shared]:
+            shared -= 1
+        if shared == 0:
             break
-        shared += 1
     return 2.0 ** (-shared)
 
 
@@ -180,7 +189,7 @@ def image_diameter_profile(diagram: OrderedBratteliDiagram, n_max: int,
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    current: list[PathPrefix | None] = list(minimal_prefixes(diagram, depth))
+    current: list[PathPrefix | None] = _extremal_prefixes(diagram, depth, 0)
     size = len(current)
     profile = []
     for n in range(n_max + 1):

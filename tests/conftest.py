@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -65,6 +66,21 @@ def oracle_successor(p: PathPrefix) -> PathPrefix | None:
     same.sort(key=inverse_lex_key)
     i = same.index(p)
     return same[i + 1] if i + 1 < len(same) else None
+
+
+def oracle_prefix_set_diameter(prefixes) -> float:
+    """2^-k for k the least, over all pairs, number of shared leading edge
+    indices; 0 for at most one prefix."""
+    def shared(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        n = 0
+        while n < min(len(a), len(b)) and a[n] == b[n]:
+            n += 1
+        return n
+
+    pairs = list(combinations([p.indices() for p in prefixes], 2))
+    if not pairs:
+        return 0.0
+    return 2.0 ** -min(shared(a, b) for a, b in pairs)
 
 
 @pytest.fixture(scope="session")

@@ -45,6 +45,56 @@ def test_validate_out_of_range_edges():
     assert "edge-source-out-of-range" in codes
 
 
+E = Edge
+
+
+@pytest.mark.parametrize("sizes,edges,codes,fans_from,fans_to", [
+    # source 5 of V_1 does not exist: left out of the fans, kept in edges_to
+    ([1, 1], [E(1, 0, 0, 0), E(1, 5, 0, 0)],
+     [("edge-source-out-of-range", 1, 5)],
+     [[(E(1, 0, 0, 0),)]],
+     [[(E(1, 0, 0, 0), E(1, 5, 0, 0))]]),
+    # vertex 1 of V_1 sources nothing
+    ([1, 2], [E(1, 0, 0, 0)],
+     [("uncovered-source", 1, 1)],
+     [[(E(1, 0, 0, 0),), ()]],
+     [[(E(1, 0, 0, 0),)]]),
+    # target 3 of V_0 does not exist: kept in the fan, left out of edges_to
+    ([1, 1], [E(1, 0, 0, 0), E(1, 0, 1, 3)],
+     [("edge-target-out-of-range", 1, 3)],
+     [[(E(1, 0, 0, 0), E(1, 0, 1, 3))]],
+     [[(E(1, 0, 0, 0),)]]),
+    # negative vertices must not wrap around to the last vertex of a level
+    ([1, 2], [E(1, -1, 0, 0), E(1, 0, 0, 0), E(1, 0, 1, -1)],
+     [("edge-source-out-of-range", 1, -1), ("edge-target-out-of-range", 1, -1),
+      ("uncovered-source", 1, 1)],
+     [[(E(1, 0, 0, 0), E(1, 0, 1, -1)), ()]],
+     [[(E(1, -1, 0, 0), E(1, 0, 0, 0))]]),
+    # vertex 1 of V_1 is the target of no E_2 edge
+    ([1, 2, 1], [E(1, 0, 0, 0), E(1, 1, 0, 0), E(2, 0, 0, 0)],
+     [("uncovered-target", 1, 1)],
+     [[(E(1, 0, 0, 0),), (E(1, 1, 0, 0),)], [(E(2, 0, 0, 0),)]],
+     [[(E(1, 0, 0, 0), E(1, 1, 0, 0))], [(E(2, 0, 0, 0),), ()]]),
+])
+def test_fan_tables_on_invalid_diagrams(sizes, edges, codes, fans_from, fans_to):
+    d = OrderedBratteliDiagram(sizes, edges)
+    assert [(v.code, v.level, v.vertex) for v in d.validate()] == codes
+    for k in range(1, d.depth + 1):
+        assert [d.edges_from(k, v) for v in range(sizes[k])] == fans_from[k - 1]
+        assert [d.edges_to(k, u) for u in range(sizes[k - 1])] == fans_to[k - 1]
+        for bad in (-1, sizes[k]):
+            with pytest.raises(IndexError):
+                d.edges_from(k, bad)
+        for bad in (-1, sizes[k - 1]):
+            with pytest.raises(IndexError):
+                d.edges_to(k, bad)
+    for level in (0, d.depth + 1):
+        with pytest.raises(IndexError):
+            d.edges_from(level, 0)
+        with pytest.raises(IndexError):
+            d.edges_to(level, 0)
+
+
 def test_edges_from_sorted_and_range_checked():
     d = odometer(2)
     fan = d.edges_from(1, 0)

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from bratteli.diagram import Edge, OrderedBratteliDiagram, deserialize, serialize
-from bratteli.vershik import (is_minimal_prefix, maximal_prefixes,
-                              minimal_prefixes, orbit, predecessor, successor)
-from conftest import enumerate_prefixes, inverse_lex_key
+from bratteli.vershik import (image_diameter_profile, is_minimal_prefix,
+                              maximal_prefixes, minimal_prefixes, orbit,
+                              predecessor, prefix_set_diameter, successor)
+from conftest import (enumerate_prefixes, inverse_lex_key,
+                      oracle_prefix_set_diameter, oracle_successor)
 
 
 def random_diagram(rng: random.Random, depth: int, max_width: int = 4) -> OrderedBratteliDiagram:
@@ -54,3 +56,43 @@ def test_random_diagram_successor_laws(seed):
             # the orbit of the class minimum enumerates the class in order
             assert is_minimal_prefix(group[0])
             assert orbit(group[0], len(group) + 5) == group
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_prefix_set_diameter_matches_oracle(seed):
+    rng = random.Random(seed)
+    d = random_diagram(rng, depth=rng.randint(2, 4))
+    pool = [p for n in range(d.depth + 1) for p in enumerate_prefixes(d, n)]
+    for _ in range(40):
+        # sets drawn from one cylinder share at least its depth
+        q = rng.choice(pool)
+        j = rng.randint(0, q.depth)
+        cylinder = [p for p in pool if p.edges[:j] == q.edges[:j]]
+        ps = rng.sample(cylinder, rng.randint(0, len(cylinder)))
+        if rng.random() < 0.5:  # one depth only, as image_diameter_profile passes
+            ps = [p for p in ps if p.depth == q.depth]
+        assert prefix_set_diameter(ps) == oracle_prefix_set_diameter(ps)
+
+
+def oracle_profile(d, n_max: int, depth: int) -> list[tuple[float, int]]:
+    """Step every minimal depth-D prefix with the brute-force successor."""
+    current = [p for p in enumerate_prefixes(d, depth) if all(e.order == 0 for e in p.edges)]
+    size = len(current)
+    out = []
+    for _ in range(n_max + 1):
+        out.append((oracle_prefix_set_diameter(current), size - len(current)))
+        current = [q for q in map(oracle_successor, current) if q is not None]
+    return out
+
+
+def test_random_image_diameter_profile_matches_oracle():
+    undetermined = []
+    for seed in range(25):
+        rng = random.Random(seed)
+        d = random_diagram(rng, depth=rng.randint(2, 4))
+        for depth in range(1, d.depth + 1):
+            profile = image_diameter_profile(d, 6, depth)
+            assert [tuple(point) for point in profile] == oracle_profile(d, 6, depth), seed
+            undetermined.append(profile[-1].undetermined)
+    # both exhausted and still-moving images occur among these diagrams
+    assert any(undetermined) and not all(undetermined)

@@ -8,7 +8,8 @@ from bratteli.vershik import (all_prefixes, extension_count,
                               is_maximal_prefix, is_minimal_prefix,
                               maximal_prefixes, minimal_prefixes, orbit,
                               predecessor, prefix_set_diameter, successor)
-from conftest import enumerate_prefixes, inverse_lex_key, oracle_successor
+from conftest import (enumerate_prefixes, inverse_lex_key,
+                      oracle_prefix_set_diameter, oracle_successor)
 
 
 def test_odometer_successor_is_binary_increment():
@@ -154,6 +155,17 @@ def test_prefix_set_diameter():
     assert prefix_set_diameter([one, other]) == 0.5  # share exactly e_1
     far = prefix_from_indices(d, [1, 1])
     assert prefix_set_diameter([one, other, far]) == 1.0
+    # mixed depths share at most the shorter prefix
+    cases = [
+        [one, prefix_from_indices(d, [0, 0, 1]), prefix_from_indices(d, [0, 0, 1, 1])],
+        [prefix_from_indices(d, [0]), prefix_from_indices(d, [0, 1, 1])],
+        [prefix_from_indices(d, [0, 1, 1]), prefix_from_indices(d, [0, 1, 0, 1]), one],
+        [PathPrefix(d, ()), prefix_from_indices(d, [0, 1, 1])],
+        [one, one],  # a list, not a set: two equal depth-2 prefixes
+    ]
+    for ps in cases:
+        assert prefix_set_diameter(ps) == oracle_prefix_set_diameter(ps)
+    assert [prefix_set_diameter(ps) for ps in cases] == [0.25, 0.5, 0.5, 1.0, 0.25]
 
 
 def test_profile_odometer_singleton():
