@@ -1,14 +1,18 @@
-"""Timing of the level-k trapezoid enumeration over all 2^L words.
+"""Timing of the level-k trapezoid enumeration over window space.
 
 For every (level, L) it times the marker/window-key kernel alone and the
 whole ``enumerate_level`` call (kernel, then one extraction per window key),
-best of ``--repeats``, and prints a table.  With ``--json FILE`` the table
+best of ``--repeats``, and prints a table.  The kernel runs the marker rule
+on every window of ``core_width + pad_left + pad_right + 1`` cells for core
+widths 1..level; the ``windows`` column is their number.  L, the word length,
+is only a lower bound the enumeration checks, so it changes neither the work
+nor the result.  With ``--json FILE`` the table
 is also stored in FILE under the git revision of the imported ``bratteli``
 source (``-dirty`` when its working tree has changes), replacing an earlier
 record for the same revision.
 
     python benchmarks/bench_enumeration.py --levels 3 --lengths 14,16,18
-    python benchmarks/bench_enumeration.py --levels 4 --lengths 17,20 \\
+    python benchmarks/bench_enumeration.py --levels 5 --lengths 17,21 \\
         --json BENCH_enumeration.json
 """
 
@@ -45,7 +49,8 @@ def measure(level, length, repeats):
     kernel_s, keys = best_of(repeats, lambda: _kernels.enumerate_block_window_keys(
         length, level, pad_left, pad_right))
     level_s, traps = best_of(repeats, lambda: enumerate_level(level, SCHEDULE, length))
-    return {"level": level, "L": length, "words": 1 << length,
+    windows = sum(1 << (cw + pad_left + pad_right + 1) for cw in range(1, level + 1))
+    return {"level": level, "L": length, "windows": windows,
             "kernel_s": round(kernel_s, 4), "enumerate_level_s": round(level_s, 4),
             "window_keys": int(keys.size), "trapezoids": len(traps)}
 
@@ -92,7 +97,7 @@ def main():
     args = parser.parse_args()
     lengths = [int(x) for x in args.lengths.split(",")]
 
-    print(f"{'level':>5} {'L':>3} {'words':>9} {'kernel [s]':>11} {'level [s]':>10} "
+    print(f"{'level':>5} {'L':>3} {'windows':>9} {'kernel [s]':>11} {'level [s]':>10} "
           f"{'keys':>7} {'vertices':>8}")
     rows = []
     for level in range(1, args.levels + 1):
@@ -101,7 +106,7 @@ def main():
                 continue
             row = measure(level, length, args.repeats)
             rows.append(row)
-            print(f"{level:>5} {length:>3} {row['words']:>9} {row['kernel_s']:>11.3f} "
+            print(f"{level:>5} {length:>3} {row['windows']:>9} {row['kernel_s']:>11.3f} "
                   f"{row['enumerate_level_s']:>10.3f} {row['window_keys']:>7} "
                   f"{row['trapezoids']:>8}")
     if args.json is not None:

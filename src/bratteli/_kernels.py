@@ -1,9 +1,9 @@
-"""The domination marker rule and the batch kernel for exhaustive word
+"""The domination marker rule and the batch kernel for exhaustive window
 enumeration.
 
 The only hot loop in the package is running the domination marker rule over
-every binary word of a given length and fingerprinting the block windows
-that determine trapezoids.  It is one chunked numpy path.
+every binary window a block of some level can have and keeping the windows
+whose core is one block.  It is one chunked numpy path.
 
 Domination on k-blocks is unsigned-integer ``>=`` on their k-bit values, so
 the rule is a sliding-window maximum: with ``v[j]`` the value of the block
@@ -12,9 +12,9 @@ starting at ``j`` and ``M[i] = max(v[i..i+k-1])``, a row-k marker sits at
 :func:`window_max_marks` is the package's only implementation of the rule;
 ``markers.row_markers`` and batched trapezoid extraction call it too.
 
-Occurrence keys pack ``core_width << 48 | window_bits`` into int64, where
-the window is the cell range that fully determines the trapezoid at one
-core block.
+Window keys pack ``core_width << 48 | window_bits`` into int64, where the
+window is the cell range that fully determines the trapezoid at one core
+block.
 """
 
 from __future__ import annotations
@@ -64,71 +64,41 @@ def marker_rows(words: np.ndarray, length: int, k: int) -> np.ndarray:
     return window_max_marks(block_values(words, length, k), k)
 
 
-def occurrence_keys(words: np.ndarray, length: int, k: int,
-                    pad_left: int, pad_right: int) -> np.ndarray:
-    """Window keys of every consecutive row-k marker pair whose determining
-    window fits inside the word.
+def block_windows(k: int, pad_left: int, pad_right: int, chunk_size: int = 1 << 16):
+    """``(core_width, windows)`` for core widths 1..k: the ascending int words
+    of ``wlen = core_width + pad_left + pad_right + 1`` cells with row-k
+    markers at ``pad_left`` and ``pad_left + core_width`` and none between.
 
-    Consecutive determined markers are at most k apart, so the search for
-    the end ``e`` of a block starting at ``s`` stops at ``s + k``: every
-    k-window of block starts inside the determined range holds its own
-    maximum, the argmax ``n`` has that window among its covering windows,
-    so ``v[n] == M[i]`` makes ``n`` a marker.  A gap of more than k
-    positions would contain such a window with no marker in it.
+    Each window is the cell range that fully determines one block, so these
+    are every block of every word.  Core widths stop at k because
+    consecutive determined markers are at most k apart: every k-window of
+    block starts inside the determined range holds its own maximum, the
+    argmax ``n`` has that window among its covering windows, so
+    ``v[n] == M[i]`` makes ``n`` a marker.  A gap of more than k positions
+    would contain such a window with no marker in it.
     """
-    lo, hi = determined_range(length, k)
-    marks = marker_rows(words, length, k)
-    e_max = min(hi, length - 1 - pad_right)
-    parts = []
-    for s in range(max(lo, pad_left), e_max):
-        # words with a marker at s and none yet in (s, e)
-        open_ = marks[s - lo].copy()
-        for e in range(s + 1, min(s + k, e_max) + 1):
-            sel = open_ & marks[e - lo]
-            open_ &= ~marks[e - lo]
-            if not sel.any():
-                continue
-            cw = e - s
-            wlen = cw + pad_left + pad_right + 1
-            win = words[sel] >> np.int64(length - 1 - (e + pad_right))
-            # ``words`` ascends, so equal windows from neighbouring words are adjacent
-            win = win[np.flatnonzero(np.diff(win, prepend=np.int64(-1)))]
-            win &= (np.int64(1) << np.int64(wlen)) - 1
-            parts.append(win | (np.int64(cw) << _KEY_SHIFT))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    for cw in range(1, k + 1):
+        wlen = cw + pad_left + pad_right + 1
+        lo, _ = determined_range(wlen, k)
+        s, e = pad_left - lo, pad_left + cw - lo  # rows of ``marks`` at the core ends
+        parts = []
+        for first in range(0, 1 << wlen, chunk_size):
+            words = np.arange(first, min(first + chunk_size, 1 << wlen), dtype=np.int64)
+            marks = marker_rows(words, wlen, k)
+            sel = marks[s] & marks[e] & ~marks[s + 1:e].any(axis=0)
+            parts.append(words[sel])
+        yield cw, np.concatenate(parts)
 
 
 def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: int,
                                 chunk_size: int = 1 << 16) -> np.ndarray:
-    """Unique window keys over all ``2**length`` words.
-
-    The word space is processed in chunks; merging is a set union, so the
-    result does not depend on the chunking.
-    """
-    if length < 1:
-        raise ValueError(f"word length must be >= 1, got {length}")
-    if length + 2 >= _KEY_SHIFT:
-        raise ValueError(f"word length {length} too large for int64 window keys")
-    n_words = 1 << length
-    parts = []
-    for first in range(0, n_words, chunk_size):
-        words = np.arange(first, min(first + chunk_size, n_words), dtype=np.int64)
-        part = occurrence_keys(words, length, k, pad_left, pad_right)
-        if part.size:
-            parts.append(np.unique(part))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
-
-
-def windows_by_core_width(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Split window keys into ``(core_width, window bits)`` groups, in
-    ascending core width; a group's windows all have the same length."""
-    widths = keys >> _KEY_SHIFT
-    windows = keys & ((1 << _KEY_SHIFT) - 1)
-    return [(int(cw), windows[widths == cw]) for cw in np.unique(widths)]
+    """Sorted window keys of every block in words of ``length`` cells, which
+    must hold the longest window; the set does not depend on ``length``."""
+    if length < k + pad_left + pad_right + 1:
+        raise ValueError(f"word length {length} is shorter than the longest window, "
+                         f"{k + pad_left + pad_right + 1} cells")
+    return np.concatenate([windows | np.int64(cw) << _KEY_SHIFT
+                           for cw, windows in block_windows(k, pad_left, pad_right, chunk_size)])
 
 
 def decode_key(key: int, pad_left: int, pad_right: int) -> tuple[int, str]:

@@ -15,7 +15,7 @@ from . import catalog
 from .diagram import deserialize, parse_path_spec, serialize, to_dot
 from .markers import mark_all_rows, render_marked_word
 from .trapezoids import InsufficientWindowError, WidenSchedule, build_diagram
-from .vershik import (extension_count, image_diameter_profile, interior_witness,
+from .vershik import (image_diameter_profile, interior_witness, is_isolated,
                       maximal_prefixes, minimal_prefixes, orbit)
 
 
@@ -94,7 +94,7 @@ def cmd_diagnose(args) -> int:
                 print(f"WITNESS-PATH side={side} {p}")
     for side, base in (("max", maximal_prefixes), ("min", minimal_prefixes)):
         isolated = [p for p in sorted(base(diagram, 1), key=lambda q: q.indices())
-                    if extension_count(diagram, p) == 1]
+                    if is_isolated(diagram, p)]
         print(f"ISOLATED side={side} depth=1 count={len(isolated)}")
         for p in isolated:
             print(f"ISOLATED-PATH side={side} {p}")
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the marker-rule diagram of the binary full shift")
     p.add_argument("--levels", "-k", type=int, default=3, help="levels below the root")
     p.add_argument("--word-length", "-L", type=int, default=18, dest="word_length",
-                   help="enumeration word length (all 2^L words are scanned)")
+                   help="word length the top level's windows must fit in; checked, "
+                        "it changes neither the work nor the output")
     p.add_argument("--widths", default="1", help="comma list of widening rectangle widths")
     p.add_argument("--format", choices=["bvd", "dot"], default="bvd")
     p.add_argument("--out", "-o", default=None, help="output file (default: stdout)")

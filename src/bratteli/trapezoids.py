@@ -274,10 +274,12 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
                     word_length: int = 18) -> tuple[Trapezoid, ...]:
     """All level-k trapezoids occurring in the binary full shift.
 
-    Exhausts every word of ``word_length`` cells; complete because any
-    trapezoid is a function of a bounded window and every binary pattern of
-    that size occurs among the enumerated words.  Result is sorted by
-    canonical serialization, which fixes vertex index assignment.
+    Any trapezoid is a function of the window of cells that
+    :func:`dependence_bound` pads its core to, so extracting one trapezoid
+    from every window pattern whose core is a k-block is complete, and the
+    result does not depend on ``word_length``, which only has to hold the
+    longest window.  Result is sorted by canonical serialization, which
+    fixes vertex index assignment.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
@@ -285,9 +287,8 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
     if word_length < min_len:
         raise InsufficientWindowError(
             f"word length {word_length} below the dependence bound {min_len} for level {k}")
-    keys = _kernels.enumerate_block_window_keys(word_length, k, pad_left, pad_right)
     found: set[Trapezoid] = set()
-    for cw, windows in _kernels.windows_by_core_width(keys):
+    for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
         for rows in _window_rows(windows, cw + pad_left + pad_right + 1, k):
             found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
     return tuple(sorted(found, key=canonical_text))

@@ -228,3 +228,16 @@ def extension_count(diagram: OrderedBratteliDiagram, p: PathPrefix,
                 nxt[e.source] = nxt.get(e.source, 0) + c
         counts = nxt
     return sum(counts.values())
+
+
+def is_isolated(diagram: OrderedBratteliDiagram, p: PathPrefix) -> bool:
+    """Whether exactly one full-depth prefix extends ``p``.  In a valid
+    diagram every vertex below the top is the target of an edge, so that
+    holds exactly when every in-fan on the way down is one edge."""
+    v = p.source[1]
+    for k in range(p.depth + 1, diagram.depth + 1):
+        fan = diagram.edges_to(k, v)
+        if len(fan) != 1:
+            return False
+        v = fan[0].source
+    return True

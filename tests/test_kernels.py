@@ -20,6 +20,7 @@ KEY_DIGESTS = [
     (4, 17, (1,), 23424, "0f0c8709a9e2690e838e74a70997083766bc768c2462317746244f3aa5282232"),
     (5, 21, (1,), 266880, "0825b4eaf5af4c865578bddeef5db0b087bb5c46559f54ea4dce56d210e75272"),
     (3, 17, (1, 2), 37376, "014952dd90d2f0002be246c220e58ad504be2b08b934676fa00f48d141077dfa"),
+    (6, 25, (1,), 3010048, "a4ecc8131e100ec7c203466555d21ddaf186db209580a071fd5aae80d5c41c34"),
 ]
 
 
@@ -75,6 +76,16 @@ def test_window_key_digest(k, length, widths, count, digest):
     keys = _kernels.enumerate_block_window_keys(length, k, pad_left, pad_right)
     assert keys.size == count
     assert hashlib.sha256(np.sort(keys).astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k,widths", [(1, (1,)), (3, (1,)), (3, (1, 2))])
+def test_word_length_is_a_lower_bound(k, widths):
+    pad_left, pad_right, min_len = dependence_bound(k, WidenSchedule(widths))
+    shortest = _kernels.enumerate_block_window_keys(min_len, k, pad_left, pad_right)
+    assert np.array_equal(shortest,
+                          _kernels.enumerate_block_window_keys(60, k, pad_left, pad_right))
+    with pytest.raises(ValueError):
+        _kernels.enumerate_block_window_keys(min_len - 1, k, pad_left, pad_right)
 
 
 def test_chunking_does_not_change_keys():

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from bratteli.diagram import Edge, OrderedBratteliDiagram, deserialize, serialize
-from bratteli.vershik import (image_diameter_profile, is_minimal_prefix,
-                              maximal_prefixes, minimal_prefixes, orbit,
-                              predecessor, prefix_set_diameter, successor)
+from bratteli.vershik import (extension_count, image_diameter_profile,
+                              is_isolated, is_minimal_prefix, maximal_prefixes,
+                              minimal_prefixes, orbit, predecessor,
+                              prefix_set_diameter, successor)
 from conftest import (enumerate_prefixes, inverse_lex_key,
                       oracle_prefix_set_diameter, oracle_successor)
 
@@ -96,3 +97,15 @@ def test_random_image_diameter_profile_matches_oracle():
             undetermined.append(profile[-1].undetermined)
     # both exhausted and still-moving images occur among these diagrams
     assert any(undetermined) and not all(undetermined)
+
+
+def test_random_is_isolated_matches_extension_count():
+    isolated = []
+    for seed in range(25):
+        rng = random.Random(seed)
+        d = random_diagram(rng, depth=rng.randint(2, 4))
+        for p in (p for n in range(d.depth) for p in enumerate_prefixes(d, n)):
+            isolated.append(is_isolated(d, p))
+            assert isolated[-1] == (extension_count(d, p) == 1), (seed, str(p))
+    # both single-path and branching cylinders occur above full depth
+    assert any(isolated) and not all(isolated)

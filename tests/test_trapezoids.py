@@ -1,6 +1,9 @@
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bratteli.diagram import deserialize, serialize
 from bratteli.markers import mark_all_rows
@@ -182,6 +185,43 @@ def test_enumerate_level_word_length_bound():
     with pytest.raises(InsufficientWindowError):
         enumerate_level(3, W1, min3 - 1)
     assert enumerate_level(3, W1, min3)  # exactly at the bound is fine
+
+
+GUARD_CASES = [((1,), k) for k in range(1, 5)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
+
+
+@functools.cache
+def level_set(widths, k):
+    schedule = WidenSchedule(widths)
+    return frozenset(enumerate_level(k, schedule, dependence_bound(k, schedule)[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_block_of_a_long_word_is_enumerated(data):
+    """Completeness of ``enumerate_level`` checked without window enumeration:
+    every block of a long random word gives a trapezoid of the level set, and
+    the same one as its padded window alone."""
+    widths, k = data.draw(st.sampled_from(GUARD_CASES))
+    schedule = WidenSchedule(widths)
+    pad_left, pad_right, min_len = dependence_bound(k, schedule)
+    word = data.draw(st.text(alphabet="01", min_size=min_len + 20, max_size=min_len + 60))
+    mw = mark_all_rows(word, k)
+    padded = 0
+    for s, e in k_blocks(mw, k):
+        fits = pad_left <= s and e + pad_right < len(word)
+        try:
+            t = trapezoid_at(mw, (s, e), k, schedule)
+        except InsufficientWindowError:
+            assert not fits, (word, s, e)
+            continue
+        assert t in level_set(widths, k), (word, s, e)
+        if fits:
+            window = word[s - pad_left:e + pad_right + 1]
+            assert trapezoid_at(mark_all_rows(window, k), (pad_left, pad_left + e - s),
+                                k, schedule) == t, (word, s, e)
+            padded += 1
+    assert padded > 0
 
 
 def test_decompose_published_fixtures():
