@@ -1,19 +1,25 @@
 """Timing of the level-k trapezoid enumeration over window space.
 
 For every (level, L) it times the marker/window-key kernel alone and the
-whole ``enumerate_level`` call (kernel, then one extraction per window key),
-best of ``--repeats``, and prints a table.  The kernel runs the marker rule
-on every window of ``core_width + pad_left + pad_right + 1`` cells for core
-widths 1..level; the ``windows`` column is their number.  L, the word length,
-is only a lower bound the enumeration checks, so it changes neither the work
-nor the result.  With ``--json FILE`` the table
-is also stored in FILE under the git revision of the imported ``bratteli``
-source (``-dirty`` when its working tree has changes), replacing an earlier
-record for the same revision.
+whole ``enumerate_level`` call (kernel, fingerprints of every window key,
+then one extraction per distinct fingerprint), best of ``--repeats``, and
+prints a table.  The kernel runs the marker rule on every window of
+``core_width + pad_left + pad_right + 1`` cells for core widths 1..level;
+the ``windows`` column is their number, ``keys`` the windows whose core is
+a block, and ``fingerprints`` the distinct fingerprints among them, i.e. the
+number of extractions.  L, the word length, is only a lower bound the
+enumeration checks, so it changes neither the work nor the result.  With
+``--json FILE`` the table is also stored in FILE under the git revision of
+the imported ``bratteli`` source (``-dirty`` when its working tree has
+changes), replacing an earlier record for the same revision.
+
+With ``--build K,L`` it also runs ``bratteli build-fullshift -k K -L L`` once
+in a child process and records its wall time, its peak RSS (``ru_maxrss``
+from ``os.wait4``), its level sizes and the sha256 of the BVD it writes.
 
     python benchmarks/bench_enumeration.py --levels 3 --lengths 14,16,18
     python benchmarks/bench_enumeration.py --levels 5 --lengths 17,21 \\
-        --json BENCH_enumeration.json
+        --build 6,25 --json BENCH_enumeration.json
 """
 
 import argparse
@@ -22,6 +28,8 @@ import json
 import os
 import platform
 import subprocess
+import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +38,8 @@ import numpy as np
 
 import bratteli
 from bratteli import _kernels
-from bratteli.trapezoids import WidenSchedule, dependence_bound, enumerate_level
+from bratteli.trapezoids import (WidenSchedule, _fingerprints, dependence_bound,
+                                 enumerate_level)
 
 SCHEDULE = WidenSchedule((1,))
 
@@ -50,9 +59,38 @@ def measure(level, length, repeats):
         length, level, pad_left, pad_right))
     level_s, traps = best_of(repeats, lambda: enumerate_level(level, SCHEDULE, length))
     windows = sum(1 << (cw + pad_left + pad_right + 1) for cw in range(1, level + 1))
+    fingerprints = sum(np.unique(_fingerprints(group, cw, level, SCHEDULE)).size
+                       for cw, group in _kernels.block_windows(level, pad_left, pad_right))
     return {"level": level, "L": length, "windows": windows,
             "kernel_s": round(kernel_s, 4), "enumerate_level_s": round(level_s, 4),
-            "window_keys": int(keys.size), "trapezoids": len(traps)}
+            "window_keys": int(keys.size), "fingerprints": fingerprints,
+            "trapezoids": len(traps)}
+
+
+def build_once(levels, length):
+    """Wall time, peak RSS, level sizes and BVD sha256 of one
+    ``build-fullshift`` run in a child process."""
+    src = Path(bratteli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "fullshift.bvd"
+        cmd = [sys.executable, "-m", "bratteli", "build-fullshift", "-k", str(levels),
+               "-L", str(length), "--widths", ",".join(map(str, SCHEDULE.widths)), "-o", str(out)]
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
+        stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - t0
+        proc.stdout.close()
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise SystemExit(f"error: {' '.join(cmd)} exited with {code}")
+        bvd_sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
+    sizes = [int(line.split("=")[1]) for line in stdout.splitlines() if line.startswith("V_")]
+    return {"levels": levels, "L": length, "wall_s": round(wall_s, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "level_sizes": sizes,
+            "bvd_sha256": bvd_sha256}
 
 
 def source_identity():
@@ -92,13 +130,15 @@ def main():
     parser.add_argument("--levels", type=int, default=3, help="levels 1..N")
     parser.add_argument("--lengths", default="14,16,18", help="comma list of word lengths")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--build", default=None, metavar="K,L",
+                        help="also time one build-fullshift -k K -L L in a child process")
     parser.add_argument("--json", type=Path, default=None, metavar="FILE",
                         help="store the table in FILE under the source's git revision")
     args = parser.parse_args()
     lengths = [int(x) for x in args.lengths.split(",")]
 
     print(f"{'level':>5} {'L':>3} {'windows':>9} {'kernel [s]':>11} {'level [s]':>10} "
-          f"{'keys':>7} {'vertices':>8}")
+          f"{'keys':>7} {'fingerprints':>12} {'vertices':>8}")
     rows = []
     for level in range(1, args.levels + 1):
         for length in lengths:
@@ -108,9 +148,14 @@ def main():
             rows.append(row)
             print(f"{level:>5} {length:>3} {row['windows']:>9} {row['kernel_s']:>11.3f} "
                   f"{row['enumerate_level_s']:>10.3f} {row['window_keys']:>7} "
-                  f"{row['trapezoids']:>8}")
+                  f"{row['fingerprints']:>12} {row['trapezoids']:>8}")
+    build = {}
+    if args.build is not None:
+        levels, length = (int(x) for x in args.build.split(","))
+        build = {"build": build_once(levels, length)}
+        print(json.dumps(build["build"]))
     if args.json is not None:
-        store(args.json, rows, widths=list(SCHEDULE.widths), repeats=args.repeats)
+        store(args.json, rows, widths=list(SCHEDULE.widths), repeats=args.repeats, **build)
 
 
 if __name__ == "__main__":

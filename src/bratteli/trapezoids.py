@@ -253,7 +253,36 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
 
 
 # windows marked per kernel call in enumerate_level; bounds the bit arrays
-_MARK_SLICE = 1024
+_MARK_SLICE = 1 << 12
+
+
+def _fingerprints(windows: np.ndarray, core_width: int, k: int,
+                  schedule: WidenSchedule) -> np.ndarray:
+    """The fingerprint of each window of a level-k block with core
+    ``[pad_left, pad_left + core_width]``, as one fixed-width ``np.void``
+    of packed bits: its cells over ``[a, b)`` and its row-1..k marker bits
+    over ``[a, b]``, where ``a = pad_left - m``, ``b = pad_left + core_width + m``
+    and ``m = sum(widths_below(k))``.
+
+    Windows of one core width with equal fingerprints have equal
+    trapezoids, because :func:`_extract` reads nothing outside ``[a, b]``:
+    it checks the core's row-k markers, then each widening by width w moves
+    an edge to the nearest row-w marker beyond it, at most w cells away
+    (determined row-w markers are at most w apart, see
+    ``_kernels.block_windows``), so the edges stay within m cells of the
+    core, and it copies only cells and markers between the edges.  A finer
+    fingerprint than needed only costs extra extractions.
+    """
+    pad_left, pad_right, _ = dependence_bound(k, schedule)
+    margin = sum(schedule.widths_below(k))
+    length = core_width + pad_left + pad_right + 1
+    a, b = pad_left - margin, pad_left + core_width + margin
+    cells = windows[:, None] >> np.arange(length - 1 - a, length - 1 - b, -1) & 1
+    # row r's marker bits start at its determined position r - 1
+    marks = [_kernels.marker_rows(windows, length, r)[a - r + 1:b - r + 2].T
+             for r in range(1, k + 1)]
+    packed = np.packbits(np.hstack([cells.astype(np.bool_), *marks]), axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def _window_rows(windows: np.ndarray, length: int, depth: int):
@@ -278,8 +307,12 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
     :func:`dependence_bound` pads its core to, so extracting one trapezoid
     from every window pattern whose core is a k-block is complete, and the
     result does not depend on ``word_length``, which only has to hold the
-    longest window.  Result is sorted by canonical serialization, which
-    fixes vertex index assignment.
+    longest window.  Windows with equal :func:`_fingerprints` have equal
+    trapezoids, so only the first window of each fingerprint (per core
+    width) is extracted; the windows are fingerprinted in slices of
+    ``_MARK_SLICE``, which bounds memory to one slice plus the fingerprints
+    seen.  Result is sorted by
+    canonical serialization, which fixes vertex index assignment.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
@@ -289,7 +322,15 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
             f"word length {word_length} below the dependence bound {min_len} for level {k}")
     found: set[Trapezoid] = set()
     for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
-        for rows in _window_rows(windows, cw + pad_left + pad_right + 1, k):
+        firsts: dict[bytes, int] = {}
+        for start in range(0, windows.size, _MARK_SLICE):
+            part = windows[start:start + _MARK_SLICE]
+            prints = _fingerprints(part, cw, k, schedule)
+            _, index = np.unique(prints, return_index=True)
+            for i in index.tolist():
+                firsts.setdefault(prints[i].tobytes(), int(part[i]))
+        chosen = np.array(list(firsts.values()), dtype=np.int64)
+        for rows in _window_rows(chosen, cw + pad_left + pad_right + 1, k):
             found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
     return tuple(sorted(found, key=canonical_text))
 

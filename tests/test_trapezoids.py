@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bratteli import _kernels
 from bratteli.diagram import deserialize, serialize
 from bratteli.markers import mark_all_rows
 from bratteli.trapezoids import (InsufficientWindowError, Trapezoid,
-                                 TrapezoidRow, WidenSchedule, build_diagram,
+                                 TrapezoidRow, WidenSchedule, _extract,
+                                 _fingerprints, _window_rows, build_diagram,
                                  canonical_text, decompose, dependence_bound,
                                  enumerate_level, k_blocks, path_to_window,
                                  render_trapezoid, trapezoid_at,
@@ -161,23 +163,38 @@ def test_enumerate_level_stabilizes():
         assert a == b
 
 
-# (widths, level) -> distinct trapezoids; the slow (1, 2) level-3 case
-# compares the minimum length with min + 1 only
+# (widths, level) -> distinct trapezoids
 COMPLETENESS_CASES = {((1,), 1): 2, ((1,), 2): 11, ((1,), 3): 15,
                       ((1, 2), 1): 2, ((1, 2), 2): 11, ((1, 2), 3): 87,
                       ((1, 3), 1): 2, ((1, 3), 2): 11, ((1, 3), 3): 15}
+COMPLETENESS_IDS = [f"w{'-'.join(map(str, w))}-k{k}" for w, k in sorted(COMPLETENESS_CASES)]
 
 
-@pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES),
-                         ids=[f"w{'-'.join(map(str, w))}-k{k}" for w, k in sorted(COMPLETENESS_CASES)])
+@pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES), ids=COMPLETENESS_IDS)
 def test_enumerate_level_complete_at_dependence_bound(widths, k):
     schedule = WidenSchedule(widths)
     shortest = dependence_bound(k, schedule)[2]
-    extra = 1 if (widths, k) == ((1, 2), 3) else 2
     found = enumerate_level(k, schedule, shortest)
     assert len(found) == COMPLETENESS_CASES[widths, k]
-    for length in range(shortest + 1, shortest + extra + 1):
+    for length in range(shortest + 1, shortest + 3):
         assert enumerate_level(k, schedule, length) == found
+
+
+@pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES), ids=COMPLETENESS_IDS)
+def test_equal_fingerprints_give_equal_trapezoids(widths, k):
+    """Extracting every window, not one per fingerprint, gives one trapezoid
+    per fingerprint group, and the groups' union is the level set."""
+    schedule = WidenSchedule(widths)
+    pad_left, pad_right, min_len = dependence_bound(k, schedule)
+    groups = {}
+    for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
+        prints = _fingerprints(windows, cw, k, schedule)
+        length = cw + pad_left + pad_right + 1
+        for fp, rows in zip(prints, _window_rows(windows, length, k)):
+            t = _extract(rows, pad_left, pad_left + cw, k, schedule)
+            groups.setdefault((cw, fp.tobytes()), set()).add(t)
+    assert all(len(ts) == 1 for ts in groups.values())
+    assert set().union(*groups.values()) == set(enumerate_level(k, schedule, min_len))
 
 
 def test_enumerate_level_word_length_bound():
@@ -187,7 +204,7 @@ def test_enumerate_level_word_length_bound():
     assert enumerate_level(3, W1, min3)  # exactly at the bound is fine
 
 
-GUARD_CASES = [((1,), k) for k in range(1, 5)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
+GUARD_CASES = [((1,), k) for k in range(1, 6)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
 
 
 @functools.cache
@@ -283,20 +300,23 @@ def test_build_diagram_structure(fullshift3):
         assert trapezoid_from_text(text).level == k
 
 
-# sha256 of the serialized diagram, as `build-fullshift -k K -L 17 -o` writes
-# it, recorded with the per-window extraction this build replaced
+# (word length, sha256 of the serialized diagram as `build-fullshift -k K
+# -L length -o` writes it), all recorded with one extraction per window,
+# before extraction was deduplicated by fingerprint
 BVD_DIGESTS = {
-    1: "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9",
-    2: "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d",
-    3: "80bc1b4086317aaa9e09db0a2dcdc66e5a7cc8aeeea1f01ee1520c3c0b5fb259",
-    4: "72ed80e7d1aca69029d7db739b2ce644399ecc6d2c0079222b6e7ff042f74335",
+    1: (17, "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9"),
+    2: (17, "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d"),
+    3: (17, "80bc1b4086317aaa9e09db0a2dcdc66e5a7cc8aeeea1f01ee1520c3c0b5fb259"),
+    4: (17, "72ed80e7d1aca69029d7db739b2ce644399ecc6d2c0079222b6e7ff042f74335"),
+    5: (21, "ceac169be6c8623c965400cd49f44940e7510c1d6892d6b29025d7f9c5321192"),
 }
 
 
 @pytest.mark.parametrize("levels", sorted(BVD_DIGESTS))
 def test_build_diagram_bvd_digest(levels):
-    text = serialize(build_diagram(levels, W1, 17))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BVD_DIGESTS[levels]
+    length, digest = BVD_DIGESTS[levels]
+    text = serialize(build_diagram(levels, W1, length))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_fullshift_extremal_prefix_counts(fullshift3):
