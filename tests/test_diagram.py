@@ -228,3 +228,92 @@ def test_prefix_hash_and_equality():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+
+
+_HEAD = "BVD 1\nDEPTH 2\nLEVEL 0 1\nLEVEL 1 2\nLEVEL 2 2\n"  # lines 1-5
+
+
+@pytest.mark.parametrize("text,line,message", [
+    (_HEAD + "EDGE 1 0 0\n", 6, "EDGE: expected 4 fields, got 3"),
+    (_HEAD + "EDGE 1 0 0 0 0\n", 6, "EDGE: expected 4 fields, got 5"),
+    (_HEAD + "EDGE 1 0 x 0\n", 6, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 1 0 0.0 0\n", 6, "EDGE: non-integer field"),
+    ("BVD 1\nEDGE 1 0 0 0\n", 2, "EDGE before DEPTH"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nEDGE 1 0 0 0\nLEVEL 1 1\n", 4,
+     "EDGE before LEVEL declarations for 1 and 0"),
+    ("BVD 1\nDEPTH 2\nLEVEL 1 1\nEDGE 1 0 0 0\n", 4,
+     "EDGE before LEVEL declarations for 1 and 0"),
+    (_HEAD + "EDGE 3 0 0 0\n", 6, "edge level 3 outside 1..2"),
+    (_HEAD + "EDGE 0 0 0 0\n", 6, "edge level 0 outside 1..2"),
+    (_HEAD + "EDGE 2 2 0 0\n", 6, "EDGE references nonexistent source vertex 2 of V_2"),
+    (_HEAD + "EDGE 2 -1 0 0\n", 6, "EDGE references nonexistent source vertex -1 of V_2"),
+    (_HEAD + "EDGE 2 0 0 2\n", 6, "EDGE references nonexistent target vertex 2 of V_1"),
+    (_HEAD + "EDGE 1 0 0 1\n", 6, "EDGE references nonexistent target vertex 1 of V_0"),
+    (_HEAD + "EDGE 2 0 -1 0\n", 6, "negative edge order -1"),
+    # several faults on one line: the checks run in the order above
+    (_HEAD + "EDGE 3 -1 -1 -1\n", 6, "edge level 3 outside 1..2"),
+    (_HEAD + "EDGE 2 5 -1 9\n", 6, "EDGE references nonexistent source vertex 5 of V_2"),
+    (_HEAD + "EDGE 2 0 -1 9\n", 6, "EDGE references nonexistent target vertex 9 of V_1"),
+    # faults on two lines: the earlier line is reported, whatever its check
+    (_HEAD + "EDGE 1 0 0 0\nEDGE 2 0 -1 0\nEDGE 2 0 x 0\n", 7, "negative edge order -1"),
+    (_HEAD + "EDGE 1 0 0 0\nEDGE 2 0 x 0\nEDGE 2 0 -1 0\n", 7, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 2 0 0 0\n# note\n\nEDGE 2 9 0 0\nEDGE 2 0 0\n", 9,
+     "EDGE references nonexistent source vertex 9 of V_2"),
+    (_HEAD + "EDGE 1 0 0 0\nBOGUS\nEDGE 2 9 0 0\n", 7, "unknown record 'BOGUS'"),
+    (_HEAD + "EDGE 1 0 0 0\nEDGE 2 9 0 0\nBOGUS\n", 7,
+     "EDGE references nonexistent source vertex 9 of V_2"),
+])
+def test_deserialize_edge_errors_pin_line_and_message(text, line, message):
+    with pytest.raises(BVDParseError) as err:
+        deserialize(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def _example_lines():
+    """BVD lines of example 7.2 at depth 10 and the 0-based index of the
+    middle EDGE line, a level-9 edge."""
+    lines = serialize(example_7_2(10)).splitlines()
+    edge_rows = [i for i, s in enumerate(lines) if s.startswith("EDGE ")]
+    middle = edge_rows[len(edge_rows) // 2]
+    assert lines[middle].startswith("EDGE 9 ")
+    return lines, middle
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("EDGE 9 0 0", "EDGE: expected 4 fields, got 3"),
+    ("EDGE 9 0 zero 0", "EDGE: non-integer field"),
+    ("EDGE 11 0 0 0", "edge level 11 outside 1..10"),
+    ("EDGE 9 100000 0 0", "EDGE references nonexistent source vertex 100000 of V_9"),
+    ("EDGE 9 0 0 100000", "EDGE references nonexistent target vertex 100000 of V_8"),
+    ("EDGE 9 0 -2 0", "negative edge order -2"),
+])
+def test_deserialize_reports_bad_edge_deep_in_a_large_file(bad, message):
+    lines, middle = _example_lines()
+    lines[middle] = bad
+    with pytest.raises(BVDParseError) as err:
+        deserialize("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {middle + 1}: {message}"
+
+
+def test_deserialize_reports_the_earlier_of_two_bad_edges():
+    lines, middle = _example_lines()
+    lines[middle] = "EDGE 9 0 -2 0"
+    lines[middle + 700] = "EDGE 9 0 x 0"
+    with pytest.raises(BVDParseError) as err:
+        deserialize("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {middle + 1}: negative edge order -2"
+    lines[middle], lines[middle - 700] = "EDGE 9 0 0 0", "EDGE 9 0 x 0"
+    with pytest.raises(BVDParseError) as err:
+        deserialize("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {middle - 699}: EDGE: non-integer field"
+
+
+def test_deserialize_reports_edges_of_a_level_declared_late():
+    lines, _ = _example_lines()
+    last = lines.index("LEVEL 10 1025")
+    lines.append(lines.pop(last))
+    first = next(i for i, s in enumerate(lines) if s.startswith("EDGE 10 "))
+    with pytest.raises(BVDParseError) as err:
+        deserialize("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {first + 1}: EDGE before LEVEL declarations for 10 and 9"
