@@ -1,14 +1,16 @@
 """Timing of the Vershik diagnostics on example 7.2 at depth 14.
 
-For each step that ``bratteli diagnose`` and ``bratteli successor`` take on
-the BVD of ``catalog example-7-2 --depth 14`` it times the public call
-in-process, best of ``--repeats``, and prints a table:
+For each step that ``bratteli catalog example-7-2 --depth 14``, ``bratteli
+diagnose`` and ``bratteli successor`` take on that diagram it times the
+public call the command makes, in-process, best of ``--repeats``, and
+prints a table:
 
+- ``cli_import``   a fresh interpreter that only imports ``bratteli.cli``,
+                   which every command pays before its first step;
+- ``catalog``      build the diagram and serialize it to BVD text;
 - ``deserialize``  parse and validate the BVD text;
-- ``extremal``     ``maximal_prefixes`` and ``minimal_prefixes`` at every depth
-                   (``diagnose`` itself prints ``|V_n|`` for both counts);
 - ``witness``      ``interior_witness`` on both sides at depth 1;
-- ``isolated``     depth-1 extremal prefixes with one extension to full depth;
+- ``isolated``     ``is_isolated`` on the depth-1 extremal prefixes;
 - ``profile``      ``image_diameter_profile`` over 8 successor steps;
 - ``orbit``        256 successor steps from the all-zero path;
 - ``diagnose``     the whole ``bratteli diagnose`` command with its default
@@ -23,18 +25,22 @@ changes), replacing an earlier record for the same revision.
 
 import argparse
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from bench_enumeration import best_of, store
 
+import bratteli
 from bratteli import cli
 from bratteli.catalog import example_7_2
 from bratteli.diagram import deserialize, parse_path_spec, serialize
-from bratteli.vershik import (extension_count, image_diameter_profile,
-                              interior_witness, maximal_prefixes,
-                              minimal_prefixes, orbit)
+from bratteli.vershik import (image_diameter_profile, interior_witness,
+                              is_isolated, maximal_prefixes, minimal_prefixes,
+                              orbit)
 
 DEPTH = 14
 # defaults of `bratteli diagnose`
@@ -46,16 +52,24 @@ ORBIT_STEPS = 256
 def isolated(diagram):
     return [p for base in (maximal_prefixes, minimal_prefixes)
             for p in sorted(base(diagram, 1), key=lambda q: q.indices())
-            if extension_count(diagram, p) == 1]
+            if is_isolated(diagram, p)]
+
+
+def import_cli():
+    """``import bratteli.cli`` in a fresh interpreter, on the same source."""
+    src = Path(bratteli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", "import bratteli.cli"], env=env, check=True)
 
 
 def steps(text, bvd_path):
     diagram = deserialize(text)
     start = parse_path_spec(diagram, "/".join(["0"] * DEPTH))
     return {
+        "cli_import": import_cli,
+        "catalog": lambda: serialize(example_7_2(DEPTH)),
         "deserialize": lambda: deserialize(text),
-        "extremal": lambda: [(len(maximal_prefixes(diagram, n)), len(minimal_prefixes(diagram, n)))
-                             for n in range(1, DEPTH + 1)],
         "witness": lambda: [interior_witness(diagram, side, 1, PROBE_DEPTH)
                             for side in ("max", "min")],
         "isolated": lambda: isolated(diagram),

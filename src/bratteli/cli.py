@@ -13,8 +13,6 @@ import sys
 
 from . import catalog
 from .diagram import deserialize, parse_path_spec, serialize, to_dot
-from .markers import mark_all_rows, render_marked_word
-from .trapezoids import InsufficientWindowError, WidenSchedule, build_diagram
 from .vershik import (image_diameter_profile, interior_witness, is_isolated,
                       maximal_prefixes, minimal_prefixes, orbit)
 
@@ -37,6 +35,9 @@ def _format_diagram(diagram, fmt: str) -> str:
 
 
 def cmd_build_fullshift(args) -> int:
+    # the full-shift and marker commands import numpy; the others never do
+    from .trapezoids import InsufficientWindowError, WidenSchedule, build_diagram
+
     schedule = WidenSchedule.parse(args.widths)
     try:
         diagram = build_diagram(args.levels, schedule, args.word_length)
@@ -51,6 +52,8 @@ def cmd_build_fullshift(args) -> int:
 
 
 def cmd_markers(args) -> int:
+    from .markers import mark_all_rows, render_marked_word
+
     mw = mark_all_rows(args.word, args.rows)
     if args.render or args.format == "text":
         print(render_marked_word(mw))
@@ -171,6 +174,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:  # the package's domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # e.g. a BVD level size no memory can hold
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -10,9 +10,9 @@ vertex; an edge of ``E_k`` runs from a *source* in ``V_k`` to a *target* in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Mapping
+from itertools import chain, groupby, repeat, takewhile
+from operator import ge, itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 
 class BVDParseError(ValueError):
@@ -39,14 +39,32 @@ class Violation:
     vertex: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """Edge of E_level: source in V_level, target in V_{level-1}."""
+class Edge(NamedTuple):
+    """Edge of E_level: source in V_level, target in V_{level-1}.
+
+    A named tuple, so an edge also compares equal to the plain tuple
+    ``(level, source, order, target)``.
+    """
 
     level: int
     source: int
     order: int
     target: int
+
+
+_SOURCE = itemgetter(1)
+_ORDER = itemgetter(2)
+_TARGET = itemgetter(3)
+
+
+def _runs(edges: tuple[Edge, ...], key, n: int) -> list[tuple[Edge, ...]]:
+    """Cut ``edges``, sorted by ``key``, into the run of each key value
+    0..n-1; an edge whose key lies outside that range is in no run."""
+    runs: list[tuple[Edge, ...]] = [()] * n
+    for v, run in groupby(edges, key=key):
+        if 0 <= v < n:
+            runs[v] = tuple(run)
+    return runs
 
 
 class OrderedBratteliDiagram:
@@ -73,10 +91,9 @@ class OrderedBratteliDiagram:
             if e.level not in per_level:
                 raise ValueError(f"edge level {e.level} outside 1..{self.depth}")
             per_level[e.level].append(e)
-        self._edges = tuple(
-            tuple(sorted(per_level[k], key=lambda e: (e.source, e.order)))
-            for k in range(1, len(self._sizes))
-        )
+        # sorted by (source, order) as two stable sorts on int keys
+        self._edges = tuple(tuple(sorted(sorted(per_level[k], key=_ORDER), key=_SOURCE))
+                            for k in range(1, len(self._sizes)))
         self._labels = dict(labels or {})
         # fan tables: _out[k - 1][v] holds the E_k edges sourced at v in V_k,
         # _in[k - 1][u] those targeting u in V_{k-1}; an edge whose source
@@ -85,18 +102,11 @@ class OrderedBratteliDiagram:
         self._in: list[list[tuple[Edge, ...]]] = []
         self._index: dict[Edge, int] = {}
         for k, level_edges in enumerate(self._edges, start=1):
-            fans: list[tuple[Edge, ...]] = [()] * self._sizes[k]
-            # the (source, order) sort makes each fan one run of the level
-            for v, fan in groupby(level_edges, key=attrgetter("source")):
-                if 0 <= v < len(fans):
-                    fans[v] = tuple(fan)
-            ins: list[list[Edge]] = [[] for _ in range(self._sizes[k - 1])]
-            for i, e in enumerate(level_edges):
-                self._index[e] = i
-                if 0 <= e.target < len(ins):
-                    ins[e.target].append(e)
-            self._out.append(fans)
-            self._in.append([tuple(lst) for lst in ins])
+            self._out.append(_runs(level_edges, _SOURCE, self._sizes[k]))
+            # stable, so each in-fan keeps the (source, order) order
+            by_target = tuple(sorted(level_edges, key=_TARGET))
+            self._in.append(_runs(by_target, _TARGET, self._sizes[k - 1]))
+            self._index.update(zip(level_edges, range(len(level_edges))))
 
     @property
     def depth(self) -> int:
@@ -158,37 +168,46 @@ class OrderedBratteliDiagram:
                 out.append(Violation("negative-level-size",
                                      f"level {k} has negative size {n}", level=k))
         for k in range(1, self.depth + 1):
-            targeted: set[int] = set()
-            by_source: dict[int, list[int]] = {}
-            for e in self.edges_at(k):
-                if not 0 <= e.source < self._sizes[k]:
-                    out.append(Violation("edge-source-out-of-range",
-                                         f"E_{k} edge {e} sources nonexistent vertex {e.source}",
-                                         level=k, vertex=e.source))
-                    continue
-                if not 0 <= e.target < self._sizes[k - 1]:
-                    out.append(Violation("edge-target-out-of-range",
-                                         f"E_{k} edge {e} targets nonexistent vertex {e.target}",
-                                         level=k, vertex=e.target))
-                    continue
-                targeted.add(e.target)
-                by_source.setdefault(e.source, []).append(e.order)
-            for u in range(self._sizes[k - 1]):
-                if u not in targeted:
+            n_src, n_tgt = self._sizes[k], self._sizes[k - 1]
+            level_edges = self._edges[k - 1]
+            fans, ins = self._out[k - 1], self._in[k - 1]
+            if (sum(map(len, fans)) < len(level_edges)
+                    or sum(map(len, ins)) < len(level_edges)):
+                # the fan tables leave out an edge whose source (target) lies
+                # outside its level; report those edges, and count only edges
+                # with both ends in range as covering a vertex
+                for e in level_edges:
+                    if not 0 <= e.source < n_src:
+                        out.append(Violation("edge-source-out-of-range",
+                                             f"E_{k} edge {e} sources nonexistent vertex {e.source}",
+                                             level=k, vertex=e.source))
+                    elif not 0 <= e.target < n_tgt:
+                        out.append(Violation("edge-target-out-of-range",
+                                             f"E_{k} edge {e} targets nonexistent vertex {e.target}",
+                                             level=k, vertex=e.target))
+                fans = [tuple(e for e in fan if 0 <= e.target < n_tgt) for fan in fans]
+                ins = [[e for e in fan if 0 <= e.source < n_src] for fan in ins]
+            for u, fan in enumerate(ins):
+                if not fan:
                     out.append(Violation("uncovered-target",
                                          f"vertex {u} of V_{k - 1} is the target of no E_{k} edge",
                                          level=k - 1, vertex=u))
-            for v in range(self._sizes[k]):
-                orders = by_source.get(v)
-                if not orders:
+            # a fan is sorted by order, so its orders are a permutation iff they
+            # read 0, 1, ...; compared for the whole level at once first
+            ranked = (list(map(_ORDER, chain.from_iterable(fans)))
+                      == list(chain.from_iterable(map(range, map(len, fans)))))
+            for v, fan in enumerate(fans):
+                if not fan:
                     out.append(Violation("uncovered-source",
                                          f"vertex {v} of V_{k} sources no edge",
                                          level=k, vertex=v))
-                elif sorted(orders) != list(range(len(orders))):
-                    out.append(Violation("order-not-permutation",
-                                         f"edge orders at V_{k} vertex {v} are {sorted(orders)}, "
-                                         f"expected 0..{len(orders) - 1}",
-                                         level=k, vertex=v))
+                elif not ranked:
+                    orders = list(map(_ORDER, fan))
+                    if orders != list(range(len(fan))):
+                        out.append(Violation("order-not-permutation",
+                                             f"edge orders at V_{k} vertex {v} are {orders}, "
+                                             f"expected 0..{len(orders) - 1}",
+                                             level=k, vertex=v))
         return out
 
     def structurally_equal(self, other: "OrderedBratteliDiagram") -> bool:
@@ -334,17 +353,90 @@ def _int_fields(parts: list[str], n: int, lineno: int, what: str) -> list[int]:
         raise BVDParseError(lineno, f"{what}: non-integer field") from None
 
 
+# EDGE lines parsed in one bulk step: bounds the fields held at once
+_EDGE_SLICE = 4096
+# how a line the bulk step takes starts, after leading whitespace; an EDGE
+# line with other whitespace after its tag is parsed on its own
+_EDGE_TAGS = ("EDGE ", "EDGE\t")
+
+
+def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
+                 sizes: dict[int, int]) -> list[Edge]:
+    """The edges of ``n`` EDGE lines from line ``lineno`` on, given the
+    whitespace-split ``fields`` of all of them; each line starts with its
+    ``EDGE`` tag.
+
+    Each check covers all lines at once, in the order one line is checked
+    in.  A failure raises at ``lineno`` with the first value that check
+    rejects, which is the first bad line only for ``n == 1``.  When every
+    field check passes, each line has its four fields: the tags sit at
+    multiples of 5, so the integer fields between them leave every line
+    5 tokens.
+    """
+    if len(fields) != 5 * n or fields[0::5].count("EDGE") != n:
+        raise BVDParseError(lineno, f"EDGE: expected 4 fields, got {len(fields) - 1}")
+    try:
+        levels, sources, orders, targets = (list(map(int, fields[j::5])) for j in range(1, 5))
+    except ValueError:
+        raise BVDParseError(lineno, "EDGE: non-integer field") from None
+    if min(levels) < 1 or max(levels) > depth:
+        k = next(k for k in levels if not 1 <= k <= depth)
+        raise BVDParseError(lineno, f"edge level {k} outside 1..{depth}")
+    for k in sorted(set(levels)):
+        if k not in sizes or (k - 1) not in sizes:
+            raise BVDParseError(lineno, f"EDGE before LEVEL declarations for {k} and {k - 1}")
+    for vertices, what, shift in ((sources, "source", 0), (targets, "target", 1)):
+        bound = {k: sizes[k - shift] for k in set(levels)}
+        bounds = list(map(bound.__getitem__, levels))
+        if min(vertices) < 0 or any(map(ge, vertices, bounds)):
+            k, v = next((k, v) for k, v, b in zip(levels, vertices, bounds) if not 0 <= v < b)
+            raise BVDParseError(
+                lineno, f"EDGE references nonexistent {what} vertex {v} of V_{k - shift}")
+    if min(orders) < 0:
+        raise BVDParseError(lineno, f"negative edge order {next(o for o in orders if o < 0)}")
+    # Edge._make without its per-call Python frame and length check
+    return list(map(tuple.__new__, repeat(Edge), zip(levels, sources, orders, targets)))
+
+
+def _read_edge_run(lines: list[str], start: int, depth: int, sizes: dict[int, int],
+                   edges: list[Edge]) -> int:
+    """Parse the EDGE lines that follow one another from ``lines[start]`` on
+    into ``edges``, a slice at a time; returns the index of the first line
+    not parsed, which the caller reads as a record of its own."""
+    while True:
+        chunk = lines[start:start + _EDGE_SLICE]
+        n = len(list(takewhile(bool, map(str.startswith, map(str.lstrip, chunk),
+                                         repeat(_EDGE_TAGS)))))
+        if n:
+            try:
+                edges += _parse_edges(" ".join(chunk[:n]).split(), start + 1, n, depth, sizes)
+            except BVDParseError:
+                # parse the lines again one at a time to find the first bad one
+                for j in range(n):
+                    edges += _parse_edges(chunk[j].split(), start + 1 + j, 1, depth, sizes)
+        start += n
+        if n < _EDGE_SLICE:
+            return start
+
+
 def deserialize(text: str) -> OrderedBratteliDiagram:
     """Parse BVD text; raises :class:`BVDParseError` or, for a structurally
-    invalid diagram, :class:`DiagramValidationError`."""
+    invalid diagram, :class:`DiagramValidationError`.
+
+    Runs of EDGE lines are parsed in bulk; a fault is still reported at the
+    first bad line.
+    """
     depth: int | None = None
     sizes: dict[int, int] = {}
     labels: dict[tuple[int, int], str] = {}
     edges: list[Edge] = []
     header_seen = False
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        lineno = i
         if not line or line.startswith("#"):
             continue
         if not header_seen:
@@ -389,27 +481,18 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
         elif kind == "EDGE":
             if depth is None:
                 raise BVDParseError(lineno, "EDGE before DEPTH")
-            k, s, o, t = _int_fields(tokens[1:], 4, lineno, "EDGE")
-            if not 1 <= k <= depth:
-                raise BVDParseError(lineno, f"edge level {k} outside 1..{depth}")
-            if k not in sizes or (k - 1) not in sizes:
-                raise BVDParseError(lineno, f"EDGE before LEVEL declarations for {k} and {k - 1}")
-            if not 0 <= s < sizes[k]:
-                raise BVDParseError(lineno, f"EDGE references nonexistent source vertex {s} of V_{k}")
-            if not 0 <= t < sizes[k - 1]:
-                raise BVDParseError(lineno, f"EDGE references nonexistent target vertex {t} of V_{k - 1}")
-            if o < 0:
-                raise BVDParseError(lineno, f"negative edge order {o}")
-            edges.append(Edge(k, s, o, t))
+            edges += _parse_edges(tokens, lineno, 1, depth, sizes)
+            i = _read_edge_run(lines, i, depth, sizes, edges)
         else:
             raise BVDParseError(lineno, f"unknown record {kind!r}")
+    last = max(len(lines), 1)
     if not header_seen:
-        raise BVDParseError(max(lineno, 1), "missing 'BVD 1' header")
+        raise BVDParseError(last, "missing 'BVD 1' header")
     if depth is None:
-        raise BVDParseError(max(lineno, 1), "missing DEPTH")
+        raise BVDParseError(last, "missing DEPTH")
     for k in range(depth + 1):
         if k not in sizes:
-            raise BVDParseError(max(lineno, 1), f"missing LEVEL {k}")
+            raise BVDParseError(last, f"missing LEVEL {k}")
     diagram = OrderedBratteliDiagram([sizes[k] for k in range(depth + 1)], edges, labels)
     violations = diagram.validate()
     if violations:

@@ -1,4 +1,6 @@
 import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -110,6 +112,7 @@ def test_diagnose_bad_options_are_usage_errors(odometer_file, option, value, mes
 BAD_INPUTS = {
     "garbage-bvd": ("diagnose", "{garbage}"),
     "depth-0-bvd": ("diagnose", "{depth0}"),
+    "huge-level-bvd": ("diagnose", "{huge}"),
     "path-letter": ("successor", "{odometer}", "0/x/1"),
     "path-empty": ("successor", "{odometer}", ""),
     "word-not-binary": ("markers", "--word", "012", "--rows", "1"),
@@ -125,15 +128,20 @@ BAD_INPUTS = {
 # the whole stderr, where it is pinned
 BAD_INPUT_MESSAGES = {
     "depth-0-bvd": "error: the diagram has no levels to diagnose\n",
+    "huge-level-bvd": "error: out of memory\n",
 }
 
 
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     files = {"garbage": tmp_path / "garbage.bvd", "depth0": tmp_path / "depth0.bvd",
+             "huge": tmp_path / "huge.bvd",
              "odometer": odometer_file, "missing": tmp_path / "missing" / "out.bvd"}
     files["garbage"].write_text("hello world\n", encoding="utf-8")
     files["depth0"].write_text("BVD 1\nDEPTH 0\nLEVEL 0 1\n", encoding="utf-8")
+    # 10^15 vertices: the per-vertex table is refused at once, not filled
+    files["huge"].write_text("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1000000000000000\n",
+                             encoding="utf-8")
     res = run(*(a.format(**files) for a in BAD_INPUTS[name]))
     assert res.returncode in (1, 2), res.stderr
     assert res.stderr.startswith("error: " if res.returncode == 1 else "usage:"), res.stderr
@@ -141,6 +149,33 @@ def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     assert res.stdout == ""
     if name in BAD_INPUT_MESSAGES:
         assert res.stderr == BAD_INPUT_MESSAGES[name]
+
+
+def test_dynamics_commands_leave_numpy_unloaded(tmp_path):
+    # a fresh interpreter, since this one has numpy loaded already
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from bratteli import cli
+        bvd = {str(tmp_path / "e72.bvd")!r}
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["catalog", "example-7-2", "--depth", "4", "-o", bvd]),
+                     cli.main(["diagnose", bvd]),
+                     cli.main(["successor", bvd, "0/0/0/0", "--steps", "3"])]
+        print(codes, "numpy" in sys.modules)
+        # the package still exports the numpy layers, loaded on first use
+        from bratteli import Edge, WidenSchedule, build_diagram, mark_all_rows
+        print(build_diagram.__module__, mark_all_rows.__module__, WidenSchedule.__module__)
+        # an Edge is a named tuple, equal to the plain tuple of its fields
+        print(Edge(1, 0, 0, 0) == (1, 0, 0, 0))
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=CLI_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "[0, 0, 0] False",
+        "bratteli.trapezoids bratteli.markers bratteli.trapezoids",
+        "True",
+    ]
 
 
 def test_catalog_bvd_round_trips(tmp_path):
