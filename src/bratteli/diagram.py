@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat, takewhile
 from operator import ge, itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class BVDParseError(ValueError):
@@ -57,7 +57,7 @@ _ORDER = itemgetter(2)
 _TARGET = itemgetter(3)
 
 
-def _runs(edges: tuple[Edge, ...], key, n: int) -> list[tuple[Edge, ...]]:
+def _runs(edges: tuple[Edge, ...], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
     """Cut ``edges``, sorted by ``key``, into the run of each key value
     0..n-1; an edge whose key lies outside that range is in no run."""
     runs: list[tuple[Edge, ...]] = [()] * n
@@ -360,6 +360,12 @@ _EDGE_SLICE = 4096
 _EDGE_TAGS = ("EDGE ", "EDGE\t")
 
 
+def _small_ints(col: list[str]) -> list[int]:
+    """``int`` of each string in ``col``, converting each distinct one once."""
+    values = {s: int(s) for s in set(col)}
+    return list(map(values.__getitem__, col))
+
+
 def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
                  sizes: dict[int, int]) -> list[Edge]:
     """The edges of ``n`` EDGE lines from line ``lineno`` on, given the
@@ -368,15 +374,17 @@ def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
 
     Each check covers all lines at once, in the order one line is checked
     in.  A failure raises at ``lineno`` with the first value that check
-    rejects, which is the first bad line only for ``n == 1``.  When every
-    field check passes, each line has its four fields: the tags sit at
-    multiples of 5, so the integer fields between them leave every line
-    5 tokens.
+    rejects, which is the first bad line only for ``n == 1``.  The count
+    check alone lets a short line pair with a long one; with the integer
+    check it cannot, since every line starts with a tag and no tag can then
+    sit between the multiples of 5.
     """
     if len(fields) != 5 * n or fields[0::5].count("EDGE") != n:
         raise BVDParseError(lineno, f"EDGE: expected 4 fields, got {len(fields) - 1}")
     try:
-        levels, sources, orders, targets = (list(map(int, fields[j::5])) for j in range(1, 5))
+        # levels and orders take few distinct values
+        levels, orders = (_small_ints(fields[j::5]) for j in (1, 3))
+        sources, targets = (list(map(int, fields[j::5])) for j in (2, 4))
     except ValueError:
         raise BVDParseError(lineno, "EDGE: non-integer field") from None
     if min(levels) < 1 or max(levels) > depth:
