@@ -1,4 +1,4 @@
-"""Timing of the Vershik diagnostics on example 7.2 at depth 14.
+"""Timing of the dynamics commands on example 7.2 at depth 14.
 
 For each step that ``bratteli catalog example-7-2 --depth 14``, ``bratteli
 diagnose`` and ``bratteli successor`` take on that diagram it times the

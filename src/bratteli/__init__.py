@@ -18,24 +18,24 @@ from .vershik import (ProfilePoint, all_prefixes, extension_count,
                       minimal_prefixes, orbit, predecessor,
                       prefix_set_diameter, successor)
 
+# name -> module of the names loaded on first use (PEP 562 __getattr__)
 _LAZY = {
-    "markers": ("GenericMarkerRows", "MarkedWord", "MarkerRow", "dominates",
-                "fill_outside_forbidden", "infinite_order_positions",
-                "mark_all_rows", "render_marked_word", "row_markers",
-                "shift_row", "upward_adjust"),
-    "trapezoids": ("ArrayWindow", "InsufficientWindowError", "Trapezoid",
-                   "TrapezoidRow", "WidenSchedule", "build_diagram",
-                   "canonical_text", "decompose", "enumerate_level", "k_blocks",
-                   "path_to_window", "render_trapezoid", "trapezoid_at",
-                   "trapezoid_from_text", "window_shift_mismatches"),
+    **dict.fromkeys(("GenericMarkerRows", "MarkedWord", "MarkerRow", "dominates",
+                     "fill_outside_forbidden", "infinite_order_positions",
+                     "mark_all_rows", "render_marked_word", "row_markers",
+                     "shift_row", "upward_adjust"), "markers"),
+    **dict.fromkeys(("ArrayWindow", "InsufficientWindowError", "Trapezoid",
+                     "TrapezoidRow", "WidenSchedule", "build_diagram",
+                     "canonical_text", "decompose", "enumerate_level", "k_blocks",
+                     "path_to_window", "render_trapezoid", "trapezoid_at",
+                     "trapezoid_from_text", "window_shift_mismatches"), "trapezoids"),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    module = _LAZY_MODULE.get(name)
+    module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module}", __name__), name)
@@ -44,4 +44,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted([*globals(), *_LAZY_MODULE])
+    return sorted([*globals(), *_LAZY])
