@@ -440,11 +440,10 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
     edges: list[Edge] = []
     header_seen = False
     lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        lineno = i
+    lineno = 0  # of the current line, and the index of the next one
+    while lineno < len(lines):
+        line = lines[lineno].strip()
+        lineno += 1
         if not line or line.startswith("#"):
             continue
         if not header_seen:
@@ -490,17 +489,16 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
             if depth is None:
                 raise BVDParseError(lineno, "EDGE before DEPTH")
             edges += _parse_edges(tokens, lineno, 1, depth, sizes)
-            i = _read_edge_run(lines, i, depth, sizes, edges)
+            lineno = _read_edge_run(lines, lineno, depth, sizes, edges)
         else:
             raise BVDParseError(lineno, f"unknown record {kind!r}")
-    last = max(len(lines), 1)
     if not header_seen:
-        raise BVDParseError(last, "missing 'BVD 1' header")
+        raise BVDParseError(max(lineno, 1), "missing 'BVD 1' header")
     if depth is None:
-        raise BVDParseError(last, "missing DEPTH")
+        raise BVDParseError(max(lineno, 1), "missing DEPTH")
     for k in range(depth + 1):
         if k not in sizes:
-            raise BVDParseError(last, f"missing LEVEL {k}")
+            raise BVDParseError(max(lineno, 1), f"missing LEVEL {k}")
     diagram = OrderedBratteliDiagram([sizes[k] for k in range(depth + 1)], edges, labels)
     violations = diagram.validate()
     if violations:
