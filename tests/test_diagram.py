@@ -75,6 +75,12 @@ E = Edge
      [("uncovered-target", 1, 1)],
      [[(E(1, 0, 0, 0),), (E(1, 1, 0, 0),)], [(E(2, 0, 0, 0),)]],
      [[(E(1, 0, 0, 0), E(1, 1, 0, 0))], [(E(2, 0, 0, 0),), ()]]),
+    # two E_2 edges share (source, order) but not their target; the
+    # constructor keeps them in the order given
+    ([1, 2, 1], [E(1, 0, 0, 0), E(1, 1, 0, 0), E(2, 0, 0, 1), E(2, 0, 0, 0)],
+     [("order-not-permutation", 2, 0)],
+     [[(E(1, 0, 0, 0),), (E(1, 1, 0, 0),)], [(E(2, 0, 0, 1), E(2, 0, 0, 0))]],
+     [[(E(1, 0, 0, 0), E(1, 1, 0, 0))], [(E(2, 0, 0, 0),), (E(2, 0, 0, 1),)]]),
 ])
 def test_fan_tables_on_invalid_diagrams(sizes, edges, codes, fans_from, fans_to):
     d = OrderedBratteliDiagram(sizes, edges)
@@ -88,11 +94,18 @@ def test_fan_tables_on_invalid_diagrams(sizes, edges, codes, fans_from, fans_to)
         for bad in (-1, sizes[k - 1]):
             with pytest.raises(IndexError):
                 d.edges_to(k, bad)
+        level_edges = d.edges_at(k)
+        assert [d.edge_index(e) for e in level_edges] == list(range(len(level_edges)))
+        assert [d.edge_index(tuple(e)) for e in level_edges] == list(range(len(level_edges)))
+        with pytest.raises(ValueError, match="does not belong to this diagram"):
+            d.edge_index(E(k, 0, 99, 0))
     for level in (0, d.depth + 1):
         with pytest.raises(IndexError):
             d.edges_from(level, 0)
         with pytest.raises(IndexError):
             d.edges_to(level, 0)
+        with pytest.raises(ValueError, match="does not belong to this diagram"):
+            d.edge_index(E(level, 0, 0, 0))
 
 
 def test_edges_from_sorted_and_range_checked():
