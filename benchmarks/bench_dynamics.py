@@ -16,6 +16,11 @@ prints a table:
 - ``diagnose``     the whole ``bratteli diagnose`` command with its default
                    options, BVD file read included, stdout discarded.
 
+It then runs ``catalog``, ``diagnose`` and ``successor`` (256 steps from the
+all-zero path) as ``python -m bratteli`` child processes and prints the peak
+RSS of each (``ru_maxrss`` from ``os.wait4`` in a small launcher process),
+least of ``--repeats``.
+
 With ``--json FILE`` the table is also stored in FILE under the git revision
 of the imported ``bratteli`` source (``-dirty`` when its working tree has
 changes), replacing an earlier record for the same revision.
@@ -25,16 +30,14 @@ changes), replacing an earlier record for the same revision.
 
 import argparse
 import io
-import os
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from bench_enumeration import best_of, store
+from bench_enumeration import best_of, child_env, store
 
-import bratteli
 from bratteli import cli
 from bratteli.catalog import example_7_2
 from bratteli.diagram import deserialize, parse_path_spec, serialize
@@ -57,10 +60,39 @@ def isolated(diagram):
 
 def import_cli():
     """``import bratteli.cli`` in a fresh interpreter, on the same source."""
-    src = Path(bratteli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", "import bratteli.cli"], env=env, check=True)
+    subprocess.run([sys.executable, "-c", "import bratteli.cli"], env=child_env(), check=True)
+
+
+# Forks and execs the command given as its arguments, then prints the child's
+# ru_maxrss and exits with its exit code.  A forked child's ru_maxrss starts
+# at its parent's RSS, so the command is forked from this small interpreter,
+# not from the benchmark, which holds the depth-14 diagram.
+LAUNCHER = ("import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(usage.ru_maxrss)\n"
+            "sys.exit(os.waitstatus_to_exitcode(status))\n")
+
+
+def peak_rss_mb(args):
+    """Peak RSS of ``python -m bratteli ARGS`` run in a child process,
+    stdout discarded."""
+    cmd = [sys.executable, "-m", "bratteli", *args]
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *cmd], env=child_env(),
+                          stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} exited with {proc.returncode}")
+    # ru_maxrss is in KiB on Linux
+    return int(proc.stdout) / 1024
+
+
+def commands(bvd_path):
+    zeros = "/".join(["0"] * DEPTH)
+    return {
+        "catalog": ["catalog", "example-7-2", "--depth", str(DEPTH), "-o", str(bvd_path)],
+        "diagnose": ["diagnose", str(bvd_path)],
+        "successor": ["successor", str(bvd_path), zeros, "--steps", str(ORBIT_STEPS)],
+    }
 
 
 def steps(text, bvd_path):
@@ -98,8 +130,15 @@ def main():
                 seconds, _ = best_of(args.repeats, fn)
             rows.append({"step": name, "best_s": round(seconds, 4)})
             print(f"{name:>12} {seconds:>9.3f}")
+        rss = []
+        print(f"{'command':>12} {'peak RSS [MB]':>14}")
+        for name, cmd in commands(Path(tmp) / "child.bvd").items():
+            mb = min(peak_rss_mb(cmd) for _ in range(args.repeats))
+            rss.append({"command": name, "peak_rss_mb": round(mb, 2)})
+            print(f"{name:>12} {mb:>14.2f}")
     if args.json is not None:
-        store(args.json, rows, example="example-7-2", depth=DEPTH, repeats=args.repeats)
+        store(args.json, rows, example="example-7-2", depth=DEPTH, repeats=args.repeats,
+              peak_rss=rss)
 
 
 if __name__ == "__main__":

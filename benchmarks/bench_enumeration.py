@@ -59,7 +59,7 @@ def measure(level, length, repeats):
         length, level, pad_left, pad_right))
     level_s, traps = best_of(repeats, lambda: enumerate_level(level, SCHEDULE, length))
     windows = sum(1 << (cw + pad_left + pad_right + 1) for cw in range(1, level + 1))
-    fingerprints = sum(np.unique(_fingerprints(group, cw, level, SCHEDULE)).size
+    fingerprints = sum(np.unique(_fingerprints(group, cw, level, SCHEDULE)[0]).size
                        for cw, group in _kernels.block_windows(level, pad_left, pad_right))
     return {"level": level, "L": length, "windows": windows,
             "kernel_s": round(kernel_s, 4), "enumerate_level_s": round(level_s, 4),
@@ -67,18 +67,23 @@ def measure(level, length, repeats):
             "trapezoids": len(traps)}
 
 
+def child_env():
+    """The environment of a child interpreter that imports the same
+    ``bratteli`` source as this one."""
+    src = Path(bratteli.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def build_once(levels, length):
     """Wall time, peak RSS, level sizes and BVD sha256 of one
     ``build-fullshift`` run in a child process."""
-    src = Path(bratteli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "fullshift.bvd"
         cmd = [sys.executable, "-m", "bratteli", "build-fullshift", "-k", str(levels),
                "-L", str(length), "--widths", ",".join(map(str, SCHEDULE.widths)), "-o", str(out)]
         t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
+        proc = subprocess.Popen(cmd, env=child_env(), stdout=subprocess.PIPE, text=True)
         stdout = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
         wall_s = time.perf_counter() - t0

@@ -9,6 +9,7 @@ vertex; an edge of ``E_k`` runs from a *source* in ``V_k`` to a *target* in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat, takewhile
 from operator import ge, itemgetter
@@ -55,6 +56,7 @@ class Edge(NamedTuple):
 _SOURCE = itemgetter(1)
 _ORDER = itemgetter(2)
 _TARGET = itemgetter(3)
+_SOURCE_ORDER = itemgetter(1, 2)
 
 
 def _runs(edges: tuple[Edge, ...], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
@@ -100,13 +102,11 @@ class OrderedBratteliDiagram:
         # (target) lies outside its level is left out of _out (_in)
         self._out: list[list[tuple[Edge, ...]]] = []
         self._in: list[list[tuple[Edge, ...]]] = []
-        self._index: dict[Edge, int] = {}
         for k, level_edges in enumerate(self._edges, start=1):
             self._out.append(_runs(level_edges, _SOURCE, self._sizes[k]))
             # stable, so each in-fan keeps the (source, order) order
             by_target = tuple(sorted(level_edges, key=_TARGET))
             self._in.append(_runs(by_target, _TARGET, self._sizes[k - 1]))
-            self._index.update(zip(level_edges, range(len(level_edges))))
 
     @property
     def depth(self) -> int:
@@ -144,10 +144,14 @@ class OrderedBratteliDiagram:
         return self._in[level - 1][vertex]
 
     def edge_index(self, e: Edge) -> int:
-        """Position of ``e`` within the serialized E_level list."""
+        """Position of ``e`` within the serialized E_level list: bisect that
+        list, sorted by ``(source, order)``, to the run of ``e``'s pair and
+        find ``e`` from there.  Of two identical edges, which only an invalid
+        diagram has, this is the first."""
+        level_edges = self._edges[e[0] - 1] if 1 <= e[0] <= self.depth else ()
         try:
-            return self._index[e]
-        except KeyError:
+            return level_edges.index(e, bisect_left(level_edges, e[1:3], key=_SOURCE_ORDER))
+        except ValueError:
             raise ValueError(f"edge {e} does not belong to this diagram") from None
 
     def label(self, level: int, vertex: int) -> str | None:
@@ -336,8 +340,8 @@ def serialize(diagram: OrderedBratteliDiagram) -> str:
     lines = ["BVD 1", f"DEPTH {diagram.depth}"]
     for k, n in enumerate(diagram.level_sizes):
         lines.append(f"LEVEL {k} {n}")
-    for (k, v) in sorted(diagram.labels):
-        lines.append(f'LABEL {k} {v} "{_escape(diagram.labels[(k, v)])}"')
+    for (k, v), text in sorted(diagram.labels.items()):
+        lines.append(f'LABEL {k} {v} "{_escape(text)}"')
     for k in range(1, diagram.depth + 1):
         for e in diagram.edges_at(k):
             lines.append(f"EDGE {k} {e.source} {e.order} {e.target}")

@@ -256,13 +256,14 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
 _MARK_SLICE = 1 << 12
 
 
-def _fingerprints(windows: np.ndarray, core_width: int, k: int,
-                  schedule: WidenSchedule) -> np.ndarray:
+def _fingerprints(windows: np.ndarray, core_width: int, k: int, schedule: WidenSchedule
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fingerprint of each window of a level-k block with core
-    ``[pad_left, pad_left + core_width]``, as one fixed-width ``np.void``
-    of packed bits: its cells over ``[a, b)`` and its row-1..k marker bits
-    over ``[a, b]``, where ``a = pad_left - m``, ``b = pad_left + core_width + m``
-    and ``m = sum(widths_below(k))``.
+    ``[pad_left, pad_left + core_width]``, and the bits it packs: its cells
+    over ``[a, b)``, ``(N, b - a)`` ints 0/1, and its row-1..k marker bits
+    over ``[a, b]``, ``(k, N, b - a + 1)`` bools, where ``a = pad_left - m``,
+    ``b = pad_left + core_width + m`` and ``m = sum(widths_below(k))``.  The
+    fingerprint is one fixed-width ``np.void`` of the packed bits.
 
     Windows of one core width with equal fingerprints have equal
     trapezoids, because :func:`_extract` reads nothing outside ``[a, b]``:
@@ -270,8 +271,10 @@ def _fingerprints(windows: np.ndarray, core_width: int, k: int,
     an edge to the nearest row-w marker beyond it, at most w cells away
     (determined row-w markers are at most w apart, see
     ``_kernels.block_windows``), so the edges stay within m cells of the
-    core, and it copies only cells and markers between the edges.  A finer
-    fingerprint than needed only costs extra extractions.
+    core, and it copies only cells and markers between the edges.
+    :func:`enumerate_level` extracts from these bits alone, so a read
+    outside ``[a, b]`` raises there.  A finer fingerprint than needed only
+    costs extra extractions.
     """
     pad_left, pad_right, _ = dependence_bound(k, schedule)
     margin = sum(schedule.widths_below(k))
@@ -279,24 +282,10 @@ def _fingerprints(windows: np.ndarray, core_width: int, k: int,
     a, b = pad_left - margin, pad_left + core_width + margin
     cells = windows[:, None] >> np.arange(length - 1 - a, length - 1 - b, -1) & 1
     # row r's marker bits start at its determined position r - 1
-    marks = [_kernels.marker_rows(windows, length, r)[a - r + 1:b - r + 2].T
-             for r in range(1, k + 1)]
+    marks = np.stack([_kernels.marker_rows(windows, length, r)[a - r + 1:b - r + 2].T
+                      for r in range(1, k + 1)])
     packed = np.packbits(np.hstack([cells.astype(np.bool_), *marks]), axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
-def _window_rows(windows: np.ndarray, length: int, depth: int):
-    """Rows 1..``depth`` of each window word, each known over its determined
-    range; one kernel call per row marks a whole slice of windows."""
-    ranges = [_kernels.determined_range(length, r) for r in range(1, depth + 1)]
-    for first in range(0, windows.size, _MARK_SLICE):
-        part = windows[first:first + _MARK_SLICE]
-        bits = [_kernels.marker_rows(part, length, r).T.tolist() for r in range(1, depth + 1)]
-        for i, w in enumerate(part.tolist()):
-            word = format(w, f"0{length}b")
-            yield tuple(TrapezoidRow(lo, word[lo:hi],
-                                     frozenset(lo + j for j, b in enumerate(col[i]) if b))
-                        for (lo, hi), col in zip(ranges, bits))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), cells, marks
 
 
 def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
@@ -308,10 +297,10 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
     from every window pattern whose core is a k-block is complete, and the
     result does not depend on ``word_length``, which only has to hold the
     longest window.  Windows with equal :func:`_fingerprints` have equal
-    trapezoids, so only the first window of each fingerprint (per core
-    width) is extracted; the windows are fingerprinted in slices of
-    ``_MARK_SLICE``, which bounds memory to one slice plus the fingerprints
-    seen.  Result is sorted by
+    trapezoids, so one window of each fingerprint (per core width) is
+    extracted, from the rows its fingerprint's bits give over ``[a, b]``;
+    the windows are fingerprinted in slices of ``_MARK_SLICE``, which bounds
+    memory to one slice plus the fingerprints seen.  Result is sorted by
     canonical serialization, which fixes vertex index assignment.
     """
     if k < 1:
@@ -320,18 +309,22 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
     if word_length < min_len:
         raise InsufficientWindowError(
             f"word length {word_length} below the dependence bound {min_len} for level {k}")
+    a = pad_left - sum(schedule.widths_below(k))
+    seen: set[tuple[int, bytes]] = set()
     found: set[Trapezoid] = set()
     for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
-        firsts: dict[bytes, int] = {}
         for start in range(0, windows.size, _MARK_SLICE):
-            part = windows[start:start + _MARK_SLICE]
-            prints = _fingerprints(part, cw, k, schedule)
-            _, index = np.unique(prints, return_index=True)
-            for i in index.tolist():
-                firsts.setdefault(prints[i].tobytes(), int(part[i]))
-        chosen = np.array(list(firsts.values()), dtype=np.int64)
-        for rows in _window_rows(chosen, cw + pad_left + pad_right + 1, k):
-            found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
+            prints, cells, marks = _fingerprints(windows[start:start + _MARK_SLICE],
+                                                 cw, k, schedule)
+            for i in np.unique(prints, return_index=True)[1].tolist():
+                key = (cw, prints[i].tobytes())
+                if key in seen:
+                    continue
+                seen.add(key)
+                symbols = "".join(map(str, cells[i].tolist()))
+                rows = tuple(TrapezoidRow(a, symbols, frozenset((a + np.flatnonzero(m)).tolist()))
+                             for m in marks[:, i])
+                found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
     return tuple(sorted(found, key=canonical_text))
 
 

@@ -164,6 +164,19 @@ def test_serialize_round_trip_labels_with_escapes():
     assert d2.label(1, 0) == 'line1\nline2 "quoted" back\\slash'
 
 
+def test_serialize_reads_labels_once(monkeypatch):
+    # the labels property copies the whole dict, so a read per label is quadratic
+    d = OrderedBratteliDiagram([1, 2], [Edge(1, 0, 0, 0), Edge(1, 1, 0, 0)],
+                               {(1, 1): "b", (0, 0): "root", (1, 0): "a"})
+    reads = []
+    labels = OrderedBratteliDiagram.labels.fget
+    monkeypatch.setattr(OrderedBratteliDiagram, "labels",
+                        property(lambda self: reads.append(1) or labels(self)))
+    text = serialize(d)
+    assert len(reads) <= 1
+    assert text.splitlines()[4:7] == ['LABEL 0 0 "root"', 'LABEL 1 0 "a"', 'LABEL 1 1 "b"']
+
+
 def test_deserialize_reports_line_numbers():
     text = "BVD 1\nDEPTH 2\nLEVEL 0 1\nLEVEL 1 2\nLEVEL 2 2\nEDGE 2 5 0 1\n"
     with pytest.raises(BVDParseError) as err:

@@ -9,11 +9,10 @@ from bratteli import _kernels
 from bratteli.diagram import deserialize, serialize
 from bratteli.markers import mark_all_rows
 from bratteli.trapezoids import (InsufficientWindowError, Trapezoid,
-                                 TrapezoidRow, WidenSchedule, _extract,
-                                 _fingerprints, _window_rows, build_diagram,
-                                 canonical_text, decompose, dependence_bound,
-                                 enumerate_level, k_blocks, path_to_window,
-                                 render_trapezoid, trapezoid_at,
+                                 TrapezoidRow, WidenSchedule, _fingerprints,
+                                 build_diagram, canonical_text, decompose,
+                                 dependence_bound, enumerate_level, k_blocks,
+                                 path_to_window, render_trapezoid, trapezoid_at,
                                  trapezoid_from_text, window_shift_mismatches)
 from bratteli.vershik import all_prefixes, is_maximal_prefix, successor
 
@@ -182,16 +181,18 @@ def test_enumerate_level_complete_at_dependence_bound(widths, k):
 
 @pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES), ids=COMPLETENESS_IDS)
 def test_equal_fingerprints_give_equal_trapezoids(widths, k):
-    """Extracting every window, not one per fingerprint, gives one trapezoid
-    per fingerprint group, and the groups' union is the level set."""
+    """Extracting every window, not one per fingerprint, through the public
+    marker and extraction path gives one trapezoid per fingerprint group,
+    and the groups' union is the level set."""
     schedule = WidenSchedule(widths)
     pad_left, pad_right, min_len = dependence_bound(k, schedule)
     groups = {}
     for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
-        prints = _fingerprints(windows, cw, k, schedule)
+        prints, _, _ = _fingerprints(windows, cw, k, schedule)
         length = cw + pad_left + pad_right + 1
-        for fp, rows in zip(prints, _window_rows(windows, length, k)):
-            t = _extract(rows, pad_left, pad_left + cw, k, schedule)
+        for fp, w in zip(prints, windows.tolist()):
+            mw = mark_all_rows(format(w, f"0{length}b"), k)
+            t = trapezoid_at(mw, (pad_left, pad_left + cw), k, schedule)
             groups.setdefault((cw, fp.tobytes()), set()).add(t)
     assert all(len(ts) == 1 for ts in groups.values())
     assert set().union(*groups.values()) == set(enumerate_level(k, schedule, min_len))
