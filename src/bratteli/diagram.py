@@ -56,7 +56,6 @@ class Edge(NamedTuple):
 _SOURCE = itemgetter(1)
 _ORDER = itemgetter(2)
 _TARGET = itemgetter(3)
-_SOURCE_ORDER = itemgetter(1, 2)
 
 
 def _runs(edges: tuple[Edge, ...], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
@@ -149,8 +148,10 @@ class OrderedBratteliDiagram:
         find ``e`` from there.  Of two identical edges, which only an invalid
         diagram has, this is the first."""
         level_edges = self._edges[e[0] - 1] if 1 <= e[0] <= self.depth else ()
+        # the list's edges share e's level, so it is sorted by their first three
+        # fields, and the triple e[:3] sorts just before every edge starting with it
         try:
-            return level_edges.index(e, bisect_left(level_edges, e[1:3], key=_SOURCE_ORDER))
+            return level_edges.index(e, bisect_left(level_edges, e[:3]))
         except ValueError:
             raise ValueError(f"edge {e} does not belong to this diagram") from None
 
