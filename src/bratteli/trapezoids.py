@@ -257,13 +257,14 @@ _MARK_SLICE = 1 << 12
 
 
 def _fingerprints(windows: np.ndarray, core_width: int, k: int, schedule: WidenSchedule
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The fingerprint of each window of a level-k block with core
     ``[pad_left, pad_left + core_width]``, and the bits it packs: its cells
     over ``[a, b)``, ``(N, b - a)`` ints 0/1, and its row-1..k marker bits
-    over ``[a, b]``, ``(k, N, b - a + 1)`` bools, where ``a = pad_left - m``,
-    ``b = pad_left + core_width + m`` and ``m = sum(widths_below(k))``.  The
-    fingerprint is one fixed-width ``np.void`` of the packed bits.
+    over ``[a, b]``, a list of k ``(N, b - a + 1)`` bool arrays, where
+    ``a = pad_left - m``, ``b = pad_left + core_width + m`` and
+    ``m = sum(widths_below(k))``.  The fingerprint is one fixed-width
+    ``np.void`` of the packed bits.
 
     Windows of one core width with equal fingerprints have equal
     trapezoids, because :func:`_extract` reads nothing outside ``[a, b]``:
@@ -282,8 +283,8 @@ def _fingerprints(windows: np.ndarray, core_width: int, k: int, schedule: WidenS
     a, b = pad_left - margin, pad_left + core_width + margin
     cells = windows[:, None] >> np.arange(length - 1 - a, length - 1 - b, -1) & 1
     # row r's marker bits start at its determined position r - 1
-    marks = np.stack([_kernels.marker_rows(windows, length, r)[a - r + 1:b - r + 2].T
-                      for r in range(1, k + 1)])
+    marks = [_kernels.marker_rows(windows, length, r)[a - r + 1:b - r + 2].T
+             for r in range(1, k + 1)]
     packed = np.packbits(np.hstack([cells.astype(np.bool_), *marks]), axis=1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), cells, marks
 
@@ -322,8 +323,8 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
                     continue
                 seen.add(key)
                 symbols = "".join(map(str, cells[i].tolist()))
-                rows = tuple(TrapezoidRow(a, symbols, frozenset((a + np.flatnonzero(m)).tolist()))
-                             for m in marks[:, i])
+                rows = tuple(TrapezoidRow(a, symbols, frozenset(
+                    p for p, bit in enumerate(m[i].tolist(), a) if bit)) for m in marks)
                 found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
     return tuple(sorted(found, key=canonical_text))
 
