@@ -36,7 +36,7 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from bench_enumeration import best_of, child_env, store
+from bench_enumeration import best_of, child_env, run_cli, store
 
 from bratteli import cli
 from bratteli.catalog import example_7_2
@@ -61,29 +61,6 @@ def isolated(diagram):
 def import_cli():
     """``import bratteli.cli`` in a fresh interpreter, on the same source."""
     subprocess.run([sys.executable, "-c", "import bratteli.cli"], env=child_env(), check=True)
-
-
-# Forks and execs the command given as its arguments, then prints the child's
-# ru_maxrss and exits with its exit code.  A forked child's ru_maxrss starts
-# at its parent's RSS, so the command is forked from this small interpreter,
-# not from the benchmark, which holds the depth-14 diagram.
-LAUNCHER = ("import os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "print(usage.ru_maxrss)\n"
-            "sys.exit(os.waitstatus_to_exitcode(status))\n")
-
-
-def peak_rss_mb(args):
-    """Peak RSS of ``python -m bratteli ARGS`` run in a child process,
-    stdout discarded."""
-    cmd = [sys.executable, "-m", "bratteli", *args]
-    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *cmd], env=child_env(),
-                          stdout=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(cmd)} exited with {proc.returncode}")
-    # ru_maxrss is in KiB on Linux
-    return int(proc.stdout) / 1024
 
 
 def commands(bvd_path):
@@ -133,7 +110,7 @@ def main():
         rss = []
         print(f"{'command':>12} {'peak RSS [MB]':>14}")
         for name, cmd in commands(Path(tmp) / "child.bvd").items():
-            mb = min(peak_rss_mb(cmd) for _ in range(args.repeats))
+            mb = min(run_cli(cmd)[2] for _ in range(args.repeats))
             rss.append({"command": name, "peak_rss_mb": round(mb, 2)})
             print(f"{name:>12} {mb:>14.2f}")
     if args.json is not None:

@@ -15,7 +15,8 @@ changes), replacing an earlier record for the same revision.
 
 With ``--build K,L`` it also runs ``bratteli build-fullshift -k K -L L`` once
 in a child process and records its wall time, its peak RSS (``ru_maxrss``
-from ``os.wait4``), its level sizes and the sha256 of the BVD it writes.
+from ``os.wait4`` in a small launcher process), its level sizes and the
+sha256 of the BVD it writes.
 
     python benchmarks/bench_enumeration.py --levels 3 --lengths 14,16,18
     python benchmarks/bench_enumeration.py --levels 5 --lengths 17,21 \\
@@ -75,26 +76,43 @@ def child_env():
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
+# Runs the command given as its arguments with this process's stdout, then
+# prints one more line, the command's ru_maxrss (KiB) and wall time, and exits
+# with its exit code.  A forked child's ru_maxrss starts at its parent's RSS,
+# so commands are forked from this small interpreter, not from the benchmark.
+LAUNCHER = ("import os, subprocess, sys, time\n"
+            "t0 = time.perf_counter()\n"
+            "proc = subprocess.Popen(sys.argv[1:])\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(usage.ru_maxrss, time.perf_counter() - t0)\n"
+            "sys.exit(os.waitstatus_to_exitcode(status))\n")
+
+
+def run_cli(args):
+    """Stdout, wall time and peak RSS (MB) of ``python -m bratteli ARGS``
+    run in a child process."""
+    cmd = [sys.executable, "-m", "bratteli", *args]
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *cmd], env=child_env(),
+                          stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} exited with {proc.returncode}")
+    stdout, _, last = proc.stdout[:-1].rpartition("\n")
+    rss_kib, wall_s = last.split()
+    return stdout, float(wall_s), int(rss_kib) / 1024
+
+
 def build_once(levels, length):
     """Wall time, peak RSS, level sizes and BVD sha256 of one
     ``build-fullshift`` run in a child process."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "fullshift.bvd"
-        cmd = [sys.executable, "-m", "bratteli", "build-fullshift", "-k", str(levels),
-               "-L", str(length), "--widths", ",".join(map(str, SCHEDULE.widths)), "-o", str(out)]
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=child_env(), stdout=subprocess.PIPE, text=True)
-        stdout = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall_s = time.perf_counter() - t0
-        proc.stdout.close()
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise SystemExit(f"error: {' '.join(cmd)} exited with {code}")
+        stdout, wall_s, rss_mb = run_cli(
+            ["build-fullshift", "-k", str(levels), "-L", str(length),
+             "--widths", ",".join(map(str, SCHEDULE.widths)), "-o", str(out)])
         bvd_sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
     sizes = [int(line.split("=")[1]) for line in stdout.splitlines() if line.startswith("V_")]
     return {"levels": levels, "L": length, "wall_s": round(wall_s, 3),
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "level_sizes": sizes,
+            "peak_rss_mb": round(rss_mb, 1), "level_sizes": sizes,
             "bvd_sha256": bvd_sha256}
 
 
