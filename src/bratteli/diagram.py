@@ -9,6 +9,7 @@ vertex; an edge of ``E_k`` runs from a *source* in ``V_k`` to a *target* in
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat, takewhile
@@ -106,6 +107,9 @@ class OrderedBratteliDiagram:
             # stable, so each in-fan keeps the (source, order) order
             by_target = tuple(sorted(level_edges, key=_TARGET))
             self._in.append(_runs(by_target, _TARGET, self._sizes[k - 1]))
+        # Vershik move caches, filled by vershik._step: _moves[0] for the
+        # successor, _moves[-1] for the predecessor
+        self._moves: tuple[dict, dict] = ({}, {})
 
     @property
     def depth(self) -> int:
@@ -437,8 +441,21 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
     invalid diagram, :class:`DiagramValidationError`.
 
     Runs of EDGE lines are parsed in bulk; a fault is still reported at the
-    first bad line.
+    first bad line.  The cyclic garbage collector is paused meanwhile: the
+    parse and the diagram build only acyclic tuples, which the collector
+    keeps tracking (an :class:`Edge` is a tuple subclass) and would scan
+    again and again to free nothing.  Its state is restored on return.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_bvd(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_bvd(text: str) -> OrderedBratteliDiagram:
     depth: int | None = None
     sizes: dict[int, int] = {}
     labels: dict[tuple[int, int], str] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .diagram import OrderedBratteliDiagram, PathPrefix
+from .diagram import Edge, OrderedBratteliDiagram, PathPrefix
 
 Side = Literal["max", "min"]
 
@@ -46,20 +46,41 @@ def _walk_up(diagram: OrderedBratteliDiagram, edges: list, level: int, v: int,
         v = e.target
 
 
+def _move(d: OrderedBratteliDiagram, e: Edge, delta: int, pick: int) -> tuple[Edge, ...] | None:
+    """The edges that replace ``p.edges[:e.level]`` when ``e`` is the least
+    edge of ``p`` that moves: the edge ``delta`` places along ``e``'s fan
+    under the ``pick``-extremal chain up from its target; ``None`` when the
+    fan has no such place."""
+    fan = d._out[e.level - 1][e.source]
+    if not 0 <= e.order + delta < len(fan):
+        return None
+    moved = fan[e.order + delta]
+    edges: list = [None] * e.level
+    edges[-1] = moved
+    _walk_up(d, edges, e.level - 1, moved.target, pick)
+    return tuple(edges)
+
+
 def _step(p: PathPrefix, delta: int, pick: int) -> PathPrefix | None:
     """Move the least edge that can move by ``delta`` within its fan and
     rebuild everything above it as the ``pick``-extremal chain; ``None`` when
-    no edge can move."""
-    _require_nonempty(p)
-    d = p.diagram
-    fans = d._out
-    for i, e in enumerate(p.edges):
-        fan = fans[e.level - 1][e.source]
-        if 0 <= e.order + delta < len(fan):
-            moved = fan[e.order + delta]
-            edges = [None] * i
-            _walk_up(d, edges, i, moved.target, pick)
-            return PathPrefix(d, (*edges, moved, *p.edges[i + 1:]))
+    no edge can move.
+
+    The new head depends on the moving edge alone, so each diagram keeps one
+    cache per direction, ``_moves[pick]``, from an edge to its :func:`_move`
+    result, filled on first use; a step is then one dict lookup per edge up
+    to the first that moves."""
+    d, edges = p.diagram, p.edges
+    if not edges:
+        raise ValueError("empty prefix")
+    moves = d._moves[pick]
+    for i, e in enumerate(edges):
+        try:
+            head = moves[e]
+        except KeyError:
+            head = moves[e] = _move(d, e, delta, pick)
+        if head is not None:
+            return PathPrefix(d, head + edges[i + 1:])
     return None
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from bratteli.catalog import binary_tree, example_7_2, odometer
@@ -199,6 +201,32 @@ def test_deserialize_validates_structure():
     text = "BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 2\nEDGE 1 0 0 0\n"
     with pytest.raises(DiagramValidationError):
         deserialize(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text, error", [
+    (serialize(odometer(3)), None),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\nEDGE 1 0 0 x\n", BVDParseError),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 2\nEDGE 1 0 0 0\n", DiagramValidationError),
+], ids=["valid", "parse-error", "invalid"])
+def test_deserialize_restores_the_collector_state(monkeypatch, enabled, text, error):
+    paused = []
+    validate = OrderedBratteliDiagram.validate
+    monkeypatch.setattr(OrderedBratteliDiagram, "validate",
+                        lambda d: paused.append(not gc.isenabled()) or validate(d))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert deserialize(text).structurally_equal(odometer(3))
+        else:
+            with pytest.raises(error):
+                deserialize(text)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the collector is paused while the diagram is built and checked
+    assert paused == ([] if error is BVDParseError else [True])
 
 
 def test_deserialize_ignores_comments_and_blank_lines():

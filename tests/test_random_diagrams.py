@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from bratteli.diagram import Edge, OrderedBratteliDiagram, deserialize, serialize
+from bratteli.diagram import (Edge, OrderedBratteliDiagram, PathPrefix,
+                              deserialize, serialize)
 from bratteli.vershik import (extension_count, image_diameter_profile,
                               is_isolated, is_minimal_prefix, maximal_prefixes,
                               minimal_prefixes, orbit, predecessor,
@@ -57,6 +58,36 @@ def test_random_diagram_successor_laws(seed):
             # the orbit of the class minimum enumerates the class in order
             assert is_minimal_prefix(group[0])
             assert orbit(group[0], len(group) + 5) == group
+    # again on the same diagram, now that both directions have cached moves
+    for depth in range(1, d.depth + 1):
+        for p in enumerate_prefixes(d, depth):
+            expected = oracle_successor(p)
+            assert successor(p) == expected, str(p)
+            if expected is not None:
+                assert predecessor(expected) == p
+
+
+@pytest.mark.parametrize("small_first", [True, False])
+def test_moves_are_not_shared_between_diagrams_with_equal_edges(small_first):
+    # both hold Edge(2, 0, 1, 1): in `small` it ends its fan, in `large` it
+    # does not, and there V_1 vertex 0 sources two edges, not one
+    small = OrderedBratteliDiagram(
+        [1, 2, 1], [Edge(1, 0, 0, 0), Edge(1, 1, 0, 0), Edge(2, 0, 0, 0), Edge(2, 0, 1, 1)])
+    large = OrderedBratteliDiagram(
+        [1, 2, 1], [Edge(1, 0, 0, 0), Edge(1, 0, 1, 0), Edge(1, 1, 0, 0),
+                    Edge(2, 0, 0, 0), Edge(2, 0, 1, 1), Edge(2, 0, 2, 0)])
+    assert small.validate() == large.validate() == []
+    # (diagram, successor, predecessor) of the path (Edge(1, 1, 0, 0), Edge(2, 0, 1, 1))
+    cases = [(small, None, (Edge(1, 0, 0, 0), Edge(2, 0, 0, 0))),
+             (large, (Edge(1, 0, 0, 0), Edge(2, 0, 2, 0)), (Edge(1, 0, 1, 0), Edge(2, 0, 0, 0)))]
+    if not small_first:
+        cases.reverse()
+    for _ in range(2):  # the second round steps through filled move caches
+        for d, after, before in cases:
+            p = PathPrefix(d, (Edge(1, 1, 0, 0), Edge(2, 0, 1, 1)))
+            assert successor(p) == oracle_successor(p)
+            assert successor(p) == (after and PathPrefix(d, after))
+            assert predecessor(p) == PathPrefix(d, before)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -2,6 +2,7 @@ import pytest
 
 from bratteli.catalog import (binary_tree, example_7_1, example_7_2,
                               example_7_3, odometer)
+from bratteli import vershik
 from bratteli.diagram import PathPrefix, prefix_from_indices
 from bratteli.vershik import (all_prefixes, extension_count,
                               image_diameter_profile, interior_witness,
@@ -189,6 +190,20 @@ def test_profile_example_7_2_shrinks():
     # after 4 steps every determined image sits in the center column through
     # the first 3 levels
     assert profile[4].diameter <= 2.0 ** -3
+
+
+def test_profile_steps_each_live_prefix_through_successor(monkeypatch):
+    # 8 steps of the 16,385 minimal depth-14 prefixes, none undetermined
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return successor(p)
+
+    monkeypatch.setattr(vershik, "successor", counted)
+    image_diameter_profile(example_7_2(14), 8, 14)
+    assert calls == 131_080
 
 
 def test_example_7_2_center_column_extremal_prefixes():
