@@ -47,10 +47,10 @@ def _walk_up(diagram: OrderedBratteliDiagram, edges: list, level: int, v: int,
 
 
 def _move(d: OrderedBratteliDiagram, e: Edge, delta: int, pick: int) -> tuple[Edge, ...] | None:
-    """The edges that replace ``p.edges[:e.level]`` when ``e`` is the least
-    edge of ``p`` that moves: the edge ``delta`` places along ``e``'s fan
-    under the ``pick``-extremal chain up from its target; ``None`` when the
-    fan has no such place."""
+    """The head that replaces the first ``e.level`` edges of a prefix whose
+    least moving edge is ``e``: the edge ``delta`` places along ``e``'s fan,
+    under the ``pick``-extremal chain from its target up to the root;
+    ``None`` when ``e`` cannot move that far."""
     fan = d._out[e.level - 1][e.source]
     if not 0 <= e.order + delta < len(fan):
         return None

@@ -1,8 +1,8 @@
 import pytest
 
+from bratteli import vershik
 from bratteli.catalog import (binary_tree, example_7_1, example_7_2,
                               example_7_3, odometer)
-from bratteli import vershik
 from bratteli.diagram import PathPrefix, prefix_from_indices
 from bratteli.vershik import (all_prefixes, extension_count,
                               image_diameter_profile, interior_witness,
