@@ -1,26 +1,29 @@
-"""Timing of the level-k trapezoid enumeration over window space.
+"""Timing of the level-k trapezoid enumeration.
 
-For every (level, L) it times the marker/window-key kernel alone and the
-whole ``enumerate_level`` call (kernel, fingerprints of every window key,
-then one extraction per distinct fingerprint), best of ``--repeats``, and
-prints a table.  The kernel runs the marker rule on every window of
-``core_width + pad_left + pad_right + 1`` cells for core widths 1..level;
-the ``windows`` column is their number, ``keys`` the windows whose core is
-a block, and ``fingerprints`` the distinct fingerprints among them, i.e. the
-number of extractions.  L, the word length, is only a lower bound the
-enumeration checks, so it changes neither the work nor the result.  With
-``--json FILE`` the table is also stored in FILE under the git revision of
-the imported ``bratteli`` source (``-dirty`` when its working tree has
-changes), replacing an earlier record for the same revision.
+For every (level, L) it times the whole ``enumerate_level`` call (growing
+each core width's windows cell by cell, merging equal states, then one
+extraction per distinct span), best of ``--repeats``, and prints a table
+with the most states held at once (``peak states``, the largest over core
+widths), the distinct spans (``fingerprints``, i.e. the number of
+extractions) and the trapezoids.  L, the word length, is only a lower
+bound the enumeration checks, so it changes neither the work nor the
+result.  ``--widths`` sets the widening schedule.  With ``--json FILE`` the
+table is also stored in FILE under the git revision of the imported
+``bratteli`` source (``-dirty`` when its working tree has changes), with
+`` widths=...`` appended for a schedule other than ``1``, replacing an
+earlier record under the same name.
 
 With ``--build K,L`` it also runs ``bratteli build-fullshift -k K -L L`` once
 in a child process and records its wall time, its peak RSS (``ru_maxrss``
 from ``os.wait4`` in a small launcher process), its level sizes and the
-sha256 of the BVD it writes.
+sha256 of the BVD it writes.  At widths ``1`` and K <= 6 that sha256 must
+equal the digest ``tests/test_trapezoids.py`` pins, or the benchmark exits 1.
 
     python benchmarks/bench_enumeration.py --levels 3 --lengths 14,16,18
     python benchmarks/bench_enumeration.py --levels 5 --lengths 17,21 \\
         --build 6,25 --json BENCH_enumeration.json
+    python benchmarks/bench_enumeration.py --widths 1,3 --levels 4 --lengths 23 \\
+        --build 4,23 --json BENCH_enumeration.json
 """
 
 import argparse
@@ -38,11 +41,10 @@ from pathlib import Path
 import numpy as np
 
 import bratteli
-from bratteli import _kernels
-from bratteli.trapezoids import (WidenSchedule, _fingerprints, dependence_bound,
-                                 enumerate_level)
+from bratteli.trapezoids import WidenSchedule, _grow_spans, dependence_bound, enumerate_level
 
-SCHEDULE = WidenSchedule((1,))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from test_trapezoids import BVD_DIGESTS  # noqa: E402  (the pinned widths-1 digests)
 
 
 def best_of(repeats, fn):
@@ -54,17 +56,12 @@ def best_of(repeats, fn):
     return best, result
 
 
-def measure(level, length, repeats):
-    pad_left, pad_right, _ = dependence_bound(level, SCHEDULE)
-    kernel_s, keys = best_of(repeats, lambda: _kernels.enumerate_block_window_keys(
-        length, level, pad_left, pad_right))
-    level_s, traps = best_of(repeats, lambda: enumerate_level(level, SCHEDULE, length))
-    windows = sum(1 << (cw + pad_left + pad_right + 1) for cw in range(1, level + 1))
-    fingerprints = sum(np.unique(_fingerprints(group, cw, level, SCHEDULE)[0]).size
-                       for cw, group in _kernels.block_windows(level, pad_left, pad_right))
-    return {"level": level, "L": length, "windows": windows,
-            "kernel_s": round(kernel_s, 4), "enumerate_level_s": round(level_s, 4),
-            "window_keys": int(keys.size), "fingerprints": fingerprints,
+def measure(level, length, schedule, repeats):
+    level_s, traps = best_of(repeats, lambda: enumerate_level(level, schedule, length))
+    grown = [_grow_spans(level, cw, schedule) for cw in range(1, level + 1)]
+    return {"level": level, "L": length, "enumerate_level_s": round(level_s, 4),
+            "peak_states": max(peak for _, peak in grown),
+            "fingerprints": sum(len(list(spans)) for spans, _ in grown),
             "trapezoids": len(traps)}
 
 
@@ -101,14 +98,14 @@ def run_cli(args):
     return stdout, float(wall_s), int(rss_kib) / 1024
 
 
-def build_once(levels, length):
+def build_once(levels, length, schedule):
     """Wall time, peak RSS, level sizes and BVD sha256 of one
     ``build-fullshift`` run in a child process."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "fullshift.bvd"
         stdout, wall_s, rss_mb = run_cli(
             ["build-fullshift", "-k", str(levels), "-L", str(length),
-             "--widths", ",".join(map(str, SCHEDULE.widths)), "-o", str(out)])
+             "--widths", ",".join(map(str, schedule.widths)), "-o", str(out)])
         bvd_sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
     sizes = [int(line.split("=")[1]) for line in stdout.splitlines() if line.startswith("V_")]
     return {"levels": levels, "L": length, "wall_s": round(wall_s, 3),
@@ -130,26 +127,31 @@ def source_identity():
     return rev, digest.hexdigest()
 
 
-def store(path, rows, **fields):
+def store(path, rows, schedule, **fields):
     """Store ``rows`` and ``fields`` in the JSON file ``path`` under the git
-    revision of the imported source, replacing an earlier record for it."""
+    revision of the imported source and the schedule, replacing an earlier
+    record under that name."""
     rev, src_sha256 = source_identity()
+    widths = ",".join(map(str, schedule.widths))
+    name = rev if widths == "1" else f"{rev} widths={widths}"
     records = json.loads(path.read_text()) if path.exists() else {}
-    records[rev] = {
+    records[name] = {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "src_sha256": src_sha256,
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
+        "widths": list(schedule.widths),
         **fields,
         "rows": rows,
     }
     path.write_text(json.dumps(records, indent=2) + "\n")
-    print(f"stored under {rev!r} in {path}")
+    print(f"stored under {name!r} in {path}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--widths", default="1", help="comma list of widening widths")
     parser.add_argument("--levels", type=int, default=3, help="levels 1..N")
     parser.add_argument("--lengths", default="14,16,18", help="comma list of word lengths")
     parser.add_argument("--repeats", type=int, default=3)
@@ -158,27 +160,31 @@ def main():
     parser.add_argument("--json", type=Path, default=None, metavar="FILE",
                         help="store the table in FILE under the source's git revision")
     args = parser.parse_args()
+    schedule = WidenSchedule.parse(args.widths)
     lengths = [int(x) for x in args.lengths.split(",")]
 
-    print(f"{'level':>5} {'L':>3} {'windows':>9} {'kernel [s]':>11} {'level [s]':>10} "
-          f"{'keys':>7} {'fingerprints':>12} {'vertices':>8}")
+    print(f"{'level':>5} {'L':>3} {'level [s]':>10} {'peak states':>11} "
+          f"{'fingerprints':>12} {'vertices':>8}")
     rows = []
     for level in range(1, args.levels + 1):
         for length in lengths:
-            if length < dependence_bound(level, SCHEDULE)[2]:
+            if length < dependence_bound(level, schedule)[2]:
                 continue
-            row = measure(level, length, args.repeats)
+            row = measure(level, length, schedule, args.repeats)
             rows.append(row)
-            print(f"{level:>5} {length:>3} {row['windows']:>9} {row['kernel_s']:>11.3f} "
-                  f"{row['enumerate_level_s']:>10.3f} {row['window_keys']:>7} "
-                  f"{row['fingerprints']:>12} {row['trapezoids']:>8}")
+            print(f"{level:>5} {length:>3} {row['enumerate_level_s']:>10.3f} "
+                  f"{row['peak_states']:>11} {row['fingerprints']:>12} {row['trapezoids']:>8}")
     build = {}
     if args.build is not None:
         levels, length = (int(x) for x in args.build.split(","))
-        build = {"build": build_once(levels, length)}
+        build = {"build": build_once(levels, length, schedule)}
         print(json.dumps(build["build"]))
+        if schedule.widths == (1,) and levels in BVD_DIGESTS:
+            pinned = BVD_DIGESTS[levels][1]
+            if build["build"]["bvd_sha256"] != pinned:
+                raise SystemExit(f"error: level-{levels} BVD sha256 is not the pinned {pinned}")
     if args.json is not None:
-        store(args.json, rows, widths=list(SCHEDULE.widths), repeats=args.repeats, **build)
+        store(args.json, rows, schedule, repeats=args.repeats, **build)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,16 @@
-"""The domination marker rule and the batch kernel for exhaustive window
-enumeration.
-
-The only hot loop in the package is running the domination marker rule over
-every binary window a block of some level can have and keeping the windows
-whose core is one block.  It is one chunked numpy path.
+"""The domination marker rule, and the reference window scan.
 
 Domination on k-blocks is unsigned-integer ``>=`` on their k-bit values, so
 the rule is a sliding-window maximum: with ``v[j]`` the value of the block
 starting at ``j`` and ``M[i] = max(v[i..i+k-1])``, a row-k marker sits at
 ``n`` exactly when ``v[n] == M[i]`` for some ``i`` in ``n-k+1..n``.
-:func:`window_max_marks` is the package's only implementation of the rule;
-``markers.row_markers`` and batched trapezoid extraction call it too.
+:func:`window_max_marks` is the package's only implementation of the rule.
 
-Window keys pack ``core_width << 48 | window_bits`` into int64, where the
-window is the cell range that fully determines the trapezoid at one core
-block.
+:func:`enumerate_block_window_keys` marks every binary window a block of
+some level can have and keeps those whose core is one block.  It is the
+reference enumeration that tests and the traced benchmark compare
+``trapezoids.enumerate_level`` with.  A key packs ``core_width << 48 |
+window_bits`` into int64.
 """
 
 from __future__ import annotations
@@ -64,41 +60,27 @@ def marker_rows(words: np.ndarray, length: int, k: int) -> np.ndarray:
     return window_max_marks(block_values(words, length, k), k)
 
 
-def block_windows(k: int, pad_left: int, pad_right: int, chunk_size: int = 1 << 16):
-    """``(core_width, windows)`` for core widths 1..k: the ascending int words
-    of ``wlen = core_width + pad_left + pad_right + 1`` cells with row-k
-    markers at ``pad_left`` and ``pad_left + core_width`` and none between.
-
-    Each window is the cell range that fully determines one block, so these
-    are every block of every word.  Core widths stop at k because
-    consecutive determined markers are at most k apart: every k-window of
-    block starts inside the determined range holds its own maximum, the
-    argmax ``n`` has that window among its covering windows, so
-    ``v[n] == M[i]`` makes ``n`` a marker.  A gap of more than k positions
-    would contain such a window with no marker in it.
-    """
+def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: int,
+                                chunk_size: int = 1 << 16) -> np.ndarray:
+    """Sorted keys of the windows, for core widths 1..k, of ``wlen =
+    core_width + pad_left + pad_right + 1`` cells with row-k markers at
+    ``pad_left`` and ``pad_left + core_width`` and none between, marked
+    ``chunk_size`` words at a time.  ``length`` must hold the longest
+    window; the keys do not depend on it."""
+    if length < k + pad_left + pad_right + 1:
+        raise ValueError(f"word length {length} is shorter than the longest window, "
+                         f"{k + pad_left + pad_right + 1} cells")
+    parts = []
     for cw in range(1, k + 1):
         wlen = cw + pad_left + pad_right + 1
         lo, _ = determined_range(wlen, k)
         s, e = pad_left - lo, pad_left + cw - lo  # rows of ``marks`` at the core ends
-        parts = []
         for first in range(0, 1 << wlen, chunk_size):
             words = np.arange(first, min(first + chunk_size, 1 << wlen), dtype=np.int64)
             marks = marker_rows(words, wlen, k)
             sel = marks[s] & marks[e] & ~marks[s + 1:e].any(axis=0)
-            parts.append(words[sel])
-        yield cw, np.concatenate(parts)
-
-
-def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: int,
-                                chunk_size: int = 1 << 16) -> np.ndarray:
-    """Sorted window keys of every block in words of ``length`` cells, which
-    must hold the longest window; the set does not depend on ``length``."""
-    if length < k + pad_left + pad_right + 1:
-        raise ValueError(f"word length {length} is shorter than the longest window, "
-                         f"{k + pad_left + pad_right + 1} cells")
-    return np.concatenate([windows | np.int64(cw) << _KEY_SHIFT
-                           for cw, windows in block_windows(k, pad_left, pad_right, chunk_size)])
+            parts.append(words[sel] | np.int64(cw) << _KEY_SHIFT)
+    return np.concatenate(parts)
 
 
 def decode_key(key: int, pad_left: int, pad_right: int) -> tuple[int, str]:

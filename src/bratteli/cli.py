@@ -42,8 +42,7 @@ def cmd_build_fullshift(args) -> int:
     try:
         diagram = build_diagram(args.levels, schedule, args.word_length)
     except InsufficientWindowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: increase --word-length", file=sys.stderr)
+        print(f"error: {exc}; increase --word-length", file=sys.stderr)
         return 1
     for k in range(1, diagram.depth + 1):
         print(f"V_{k} = {diagram.level_size(k)}")

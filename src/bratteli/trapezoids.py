@@ -12,6 +12,7 @@ edges record the internal occurrences of level-k trapezoids inside level-
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,41 +253,70 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
     return pad_left, pad_right, k + pad_left + pad_right + 1
 
 
-# windows marked per kernel call in enumerate_level; bounds the bit arrays
-_MARK_SLICE = 1 << 12
+def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
+                ) -> tuple[Iterator[tuple[TrapezoidRow, ...]], int]:
+    """The distinct spans of the level-k blocks with core ``[pad_left,
+    pad_left + core_width]``, as the rows :func:`_extract` reads, and the
+    most states held at once.
 
-
-def _fingerprints(windows: np.ndarray, core_width: int, k: int, schedule: WidenSchedule
-                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The fingerprint of each window of a level-k block with core
-    ``[pad_left, pad_left + core_width]``, and the bits it packs: its cells
-    over ``[a, b)``, ``(N, b - a)`` ints 0/1, and its row-1..k marker bits
-    over ``[a, b]``, a list of k ``(N, b - a + 1)`` bool arrays, where
-    ``a = pad_left - m``, ``b = pad_left + core_width + m`` and
-    ``m = sum(widths_below(k))``.  The fingerprint is one fixed-width
-    ``np.void`` of the packed bits.
-
-    Windows of one core width with equal fingerprints have equal
-    trapezoids, because :func:`_extract` reads nothing outside ``[a, b]``:
-    it checks the core's row-k markers, then each widening by width w moves
-    an edge to the nearest row-w marker beyond it, at most w cells away
-    (determined row-w markers are at most w apart, see
-    ``_kernels.block_windows``), so the edges stay within m cells of the
-    core, and it copies only cells and markers between the edges.
-    :func:`enumerate_level` extracts from these bits alone, so a read
-    outside ``[a, b]`` raises there.  A finer fingerprint than needed only
-    costs extra extractions.
+    A span is the cells over ``[a, b)`` and the row-1..k marker bits over
+    ``[a, b]``, ``a = pad_left - m``, ``b = pad_left + core_width + m``,
+    ``m = sum(widths_below(k))``: extraction reads nothing else, as each
+    widening by width w moves an edge to the next row-w marker, at most w
+    cells away.  A state is a partial window, kept as its span bits and its
+    last ``3k - 3`` cells.  Adding cell ``t`` both ways appends it to the
+    span if it is in ``[a, b)`` and decides each row r's bit at
+    ``p = t - 2r + 2`` from the last ``3r - 2`` cells; a bit over ``[a, b]``
+    joins the span, and a state whose row-k bits over the core are not 1 at
+    both ends and 0 inside is dropped.  A bit decided by a later cell ``t'``
+    reads cells from ``t' - 3r + 3 > t - 3k + 3`` on, so states with equal
+    span bits and last ``3k - 3`` cells have the same completions (one
+    follower set of the sliding block code that marks the rows) and are
+    merged.  After cell ``b + 2k - 2`` decides the last bit, row k's at b,
+    the spans left are exactly those of the windows whose core is a block.
     """
-    pad_left, pad_right, _ = dependence_bound(k, schedule)
+    pad_left = dependence_bound(k, schedule)[0]
     margin = sum(schedule.widths_below(k))
-    length = core_width + pad_left + pad_right + 1
     a, b = pad_left - margin, pad_left + core_width + margin
-    cells = windows[:, None] >> np.arange(length - 1 - a, length - 1 - b, -1) & 1
-    # row r's marker bits start at its determined position r - 1
-    marks = [_kernels.marker_rows(windows, length, r)[a - r + 1:b - r + 2].T
-             for r in range(1, k + 1)]
-    packed = np.packbits(np.hstack([cells.astype(np.bool_), *marks]), axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), cells, marks
+    ends, last = (pad_left, pad_left + core_width), b + 2 * k - 2
+    tables = [_kernels.marker_rows(np.arange(1 << 3 * r - 2), 3 * r - 2, r)[0]
+              for r in range(1, k + 1)]
+    n = b - a
+    n_bits = n + k * (n + 1)
+    spans = np.zeros((1, -(-n_bits // 8)), dtype=np.uint8)  # span bits, packed
+    cells = np.zeros(1, dtype=np.int64)
+    peak = 1
+    for t in range(last + 1):
+        spans = np.concatenate([spans, spans])
+        cells = np.concatenate([cells << 1, cells << 1 | 1])
+        peak = max(peak, len(cells))
+        known = [(t - a, cells & 1)] if a <= t < b else []
+        keep = slice(None)
+        for r in range(1, k + 1):
+            p = t - 2 * r + 2
+            if a <= p <= b:
+                bit = tables[r - 1][cells & (1 << 3 * r - 2) - 1]
+                known.append((n + (r - 1) * (n + 1) + p - a, bit))
+                if r == k and ends[0] <= p <= ends[1]:
+                    keep = bit if p in ends else ~bit
+        for col, bits in known:
+            spans[:, col >> 3] |= bits.astype(np.uint8) << np.uint8(7 - (col & 7))
+        spans, cells = spans[keep], cells[keep]
+        # after the last cell only the span bits tell states apart
+        cells &= (1 << 3 * k - 3) - 1 if t < last else 0
+        key = np.hstack([spans, cells.view(np.uint8).reshape(-1, 8)])
+        first = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                          return_index=True)[1]
+        spans, cells = spans[first], cells[first]
+    return (_span_rows(span, a, n) for span in np.unpackbits(spans, axis=1, count=n_bits)), peak
+
+
+def _span_rows(span: np.ndarray, a: int, n: int) -> tuple[TrapezoidRow, ...]:
+    """The rows of a span from ``a``: its ``n`` cells, then each row's ``n + 1`` marker bits."""
+    span = span.tolist()
+    symbols = "".join(map(str, span[:n]))
+    return tuple(TrapezoidRow(a, symbols, frozenset(
+        p for p, bit in enumerate(span[j:j + n + 1], a) if bit)) for j in range(n, len(span), n + 1))
 
 
 def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
@@ -297,35 +327,20 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
     :func:`dependence_bound` pads its core to, so extracting one trapezoid
     from every window pattern whose core is a k-block is complete, and the
     result does not depend on ``word_length``, which only has to hold the
-    longest window.  Windows with equal :func:`_fingerprints` have equal
-    trapezoids, so one window of each fingerprint (per core width) is
-    extracted, from the rows its fingerprint's bits give over ``[a, b]``;
-    the windows are fingerprinted in slices of ``_MARK_SLICE``, which bounds
-    memory to one slice plus the fingerprints seen.  Result is sorted by
-    canonical serialization, which fixes vertex index assignment.
+    longest window.  Core widths stop at k because determined row-k markers
+    are at most k apart: the argmax of any k-window of block starts is a
+    marker.  One trapezoid is extracted per distinct :func:`_grow_spans`
+    span, from its rows alone, so a read outside them raises.  Result is
+    sorted by canonical serialization, which fixes vertex index assignment.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    pad_left, pad_right, min_len = dependence_bound(k, schedule)
+    pad_left, _, min_len = dependence_bound(k, schedule)
     if word_length < min_len:
         raise InsufficientWindowError(
             f"word length {word_length} below the dependence bound {min_len} for level {k}")
-    a = pad_left - sum(schedule.widths_below(k))
-    seen: set[tuple[int, bytes]] = set()
-    found: set[Trapezoid] = set()
-    for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
-        for start in range(0, windows.size, _MARK_SLICE):
-            prints, cells, marks = _fingerprints(windows[start:start + _MARK_SLICE],
-                                                 cw, k, schedule)
-            for i in np.unique(prints, return_index=True)[1].tolist():
-                key = (cw, prints[i].tobytes())
-                if key in seen:
-                    continue
-                seen.add(key)
-                symbols = "".join(map(str, cells[i].tolist()))
-                rows = tuple(TrapezoidRow(a, symbols, frozenset(
-                    p for p, bit in enumerate(m[i].tolist(), a) if bit)) for m in marks)
-                found.add(_extract(rows, pad_left, pad_left + cw, k, schedule))
+    found = {_extract(rows, pad_left, pad_left + cw, k, schedule)
+             for cw in range(1, k + 1) for rows in _grow_spans(k, cw, schedule)[0]}
     return tuple(sorted(found, key=canonical_text))
 
 
@@ -373,7 +388,9 @@ def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule(),
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    level_traps = [enumerate_level(k, schedule, word_length) for k in range(1, levels + 1)]
+    # the top level first: its word-length check covers every level, as the
+    # dependence bound grows with the level
+    level_traps = [enumerate_level(k, schedule, word_length) for k in range(levels, 0, -1)][::-1]
     sizes = [1] + [len(ts) for ts in level_traps]
     labels = {}
     for k, ts in enumerate(level_traps, start=1):

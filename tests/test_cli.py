@@ -118,6 +118,7 @@ BAD_INPUTS = {
     "word-not-binary": ("markers", "--word", "012", "--rows", "1"),
     "levels-0": ("build-fullshift", "--levels", "0"),
     "word-length-too-short": ("build-fullshift", "-k", "2", "-L", "3"),
+    "word-length-below-top-level": ("build-fullshift", "-k", "7", "-L", "18"),
     "widths-0": ("build-fullshift", "--widths", "0"),
     "widths-not-ints": ("build-fullshift", "--widths", "a,b"),
     "catalog-depth-1": ("catalog", "example-7-2", "--depth", "1"),
@@ -129,6 +130,11 @@ BAD_INPUTS = {
 BAD_INPUT_MESSAGES = {
     "depth-0-bvd": "error: the diagram has no levels to diagnose\n",
     "huge-level-bvd": "error: out of memory\n",
+    "word-length-too-short":
+        "error: word length 3 below the dependence bound 9 for level 2; increase --word-length\n",
+    # checked against the top level before any level is enumerated
+    "word-length-below-top-level":
+        "error: word length 18 below the dependence bound 29 for level 7; increase --word-length\n",
 }
 
 

@@ -9,7 +9,7 @@ from bratteli import _kernels
 from bratteli.diagram import deserialize, serialize
 from bratteli.markers import mark_all_rows
 from bratteli.trapezoids import (InsufficientWindowError, Trapezoid,
-                                 TrapezoidRow, WidenSchedule, _fingerprints,
+                                 TrapezoidRow, WidenSchedule, _extract, _grow_spans,
                                  build_diagram, canonical_text, decompose,
                                  dependence_bound, enumerate_level, k_blocks,
                                  path_to_window, render_trapezoid, trapezoid_at,
@@ -179,23 +179,32 @@ def test_enumerate_level_complete_at_dependence_bound(widths, k):
         assert enumerate_level(k, schedule, length) == found
 
 
-@pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES), ids=COMPLETENESS_IDS)
-def test_equal_fingerprints_give_equal_trapezoids(widths, k):
-    """Extracting every window, not one per fingerprint, through the public
-    marker and extraction path gives one trapezoid per fingerprint group,
-    and the groups' union is the level set."""
+ORACLE_CASES = sorted(COMPLETENESS_CASES) + [((1,), 4)]
+
+
+@pytest.mark.parametrize("widths,k", ORACLE_CASES,
+                         ids=COMPLETENESS_IDS + ["w1-k4"])
+def test_grown_spans_equal_the_window_scan(widths, k):
+    """The spans grown cell by cell are exactly the spans of the windows of
+    the reference scan, marked through the public path, and each span
+    extracts the trapezoid of its windows."""
     schedule = WidenSchedule(widths)
     pad_left, pad_right, min_len = dependence_bound(k, schedule)
-    groups = {}
-    for cw, windows in _kernels.block_windows(k, pad_left, pad_right):
-        prints, _, _ = _fingerprints(windows, cw, k, schedule)
-        length = cw + pad_left + pad_right + 1
-        for fp, w in zip(prints, windows.tolist()):
-            mw = mark_all_rows(format(w, f"0{length}b"), k)
-            t = trapezoid_at(mw, (pad_left, pad_left + cw), k, schedule)
-            groups.setdefault((cw, fp.tobytes()), set()).add(t)
-    assert all(len(ts) == 1 for ts in groups.values())
-    assert set().union(*groups.values()) == set(enumerate_level(k, schedule, min_len))
+    margin = sum(schedule.widths_below(k))
+    scanned = {}
+    for key in _kernels.enumerate_block_window_keys(min_len, k, pad_left, pad_right).tolist():
+        cw, window = _kernels.decode_key(key, pad_left, pad_right)
+        mw = mark_all_rows(window, k)
+        a, b = pad_left - margin, pad_left + cw + margin
+        rows = tuple(TrapezoidRow(a, window[a:b], frozenset(
+            p for p in mw.row(r).positions if a <= p <= b)) for r in range(1, k + 1))
+        t = trapezoid_at(mw, (pad_left, pad_left + cw), k, schedule)
+        assert scanned.setdefault((cw, rows), t) == t, window
+    grown = {(cw, rows) for cw in range(1, k + 1) for rows in _grow_spans(k, cw, schedule)[0]}
+    assert grown == set(scanned)
+    for (cw, rows), t in scanned.items():
+        assert _extract(rows, pad_left, pad_left + cw, k, schedule) == t
+    assert set(enumerate_level(k, schedule, min_len)) == set(scanned.values())
 
 
 def test_enumerate_level_word_length_bound():
@@ -302,14 +311,15 @@ def test_build_diagram_structure(fullshift3):
 
 
 # (word length, sha256 of the serialized diagram as `build-fullshift -k K
-# -L length -o` writes it), all recorded with one extraction per window,
-# before extraction was deduplicated by fingerprint
+# -L length -o` writes it); levels 1-5 recorded with one extraction per
+# window, level 6 by window fingerprints and by span growth alike
 BVD_DIGESTS = {
     1: (17, "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9"),
     2: (17, "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d"),
     3: (17, "80bc1b4086317aaa9e09db0a2dcdc66e5a7cc8aeeea1f01ee1520c3c0b5fb259"),
     4: (17, "72ed80e7d1aca69029d7db739b2ce644399ecc6d2c0079222b6e7ff042f74335"),
     5: (21, "ceac169be6c8623c965400cd49f44940e7510c1d6892d6b29025d7f9c5321192"),
+    6: (25, "3a6f5846e0c066a9a4b00d6c0507b3a4c3941b975449b5fc8ab1f769da738db8"),
 }
 
 
