@@ -187,6 +187,20 @@ def test_deserialize_reports_line_numbers():
     assert "nonexistent source vertex 5" in str(err.value)
 
 
+@pytest.mark.parametrize("label, message", [
+    ('"a\\"', "dangling backslash in label"),
+    ('"\\\\\\"', "dangling backslash in label"),
+    ('"a\\x"', "unknown escape \\x"),
+    ('"\\n\\t"', "unknown escape \\t"),
+    ('"\\q\\"', "unknown escape \\q"),
+])
+def test_deserialize_reports_bad_label_escapes(label, message):
+    text = f"BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\nEDGE 1 0 0 0\n\nLABEL 1 0 {label}\n"
+    with pytest.raises(BVDParseError) as err:
+        deserialize(text)
+    assert str(err.value) == f"line 7: {message}"
+
+
 def test_deserialize_rejects_bad_header_and_records():
     with pytest.raises(BVDParseError, match="header"):
         deserialize("DEPTH 1\n")
