@@ -1,29 +1,29 @@
 """Timing of the level-k trapezoid enumeration.
 
-For every (level, L) it times the whole ``enumerate_level`` call (growing
-each core width's windows cell by cell, merging equal states, then one
+For every level it times the whole ``enumerate_level`` call (growing each
+core width's windows cell by cell, merging equal states, then one
 extraction per distinct span), best of ``--repeats``, and prints a table
 with the most states held at once (``peak states``, the largest over core
 widths), the distinct spans (``fingerprints``, i.e. the number of
-extractions) and the trapezoids.  L, the word length, is only a lower
-bound the enumeration checks, so it changes neither the work nor the
-result.  ``--widths`` sets the widening schedule.  With ``--json FILE`` the
+extractions) and the trapezoids.  The marker tables the growth reads are
+built on a level's first repeat and shared by the later repeats and levels.
+``--widths`` sets the widening schedule.  With ``--json FILE`` the
 table is also stored in FILE under the git revision of the imported
 ``bratteli`` source (``-dirty`` when its working tree has changes), with
 `` widths=...`` appended for a schedule other than ``1``, replacing an
 earlier record under the same name.
 
-With ``--build K,L`` it also runs ``bratteli build-fullshift -k K -L L`` once
-in a child process and records its wall time, its peak RSS (``ru_maxrss``
-from ``os.wait4`` in a small launcher process), its level sizes and the
-sha256 of the BVD it writes.  At widths ``1`` and K <= 6 that sha256 must
-equal the digest ``tests/test_trapezoids.py`` pins, or the benchmark exits 1.
+With ``--build K`` it also runs ``bratteli build-fullshift -k K`` once in a
+child process and records its wall time, its peak RSS (``ru_maxrss`` from
+``os.wait4`` in a small launcher process), its level sizes and the sha256
+of the BVD it writes.  At widths ``1`` and a K that ``tests/test_trapezoids.py``
+pins a digest for, that sha256 must equal the digest, or the benchmark
+exits 1.
 
-    python benchmarks/bench_enumeration.py --levels 3 --lengths 14,16,18
-    python benchmarks/bench_enumeration.py --levels 5 --lengths 17,21 \\
-        --build 6,25 --json BENCH_enumeration.json
-    python benchmarks/bench_enumeration.py --widths 1,3 --levels 4 --lengths 23 \\
-        --build 4,23 --json BENCH_enumeration.json
+    python benchmarks/bench_enumeration.py --levels 3
+    python benchmarks/bench_enumeration.py --levels 6 --build 7 --json BENCH_enumeration.json
+    python benchmarks/bench_enumeration.py --widths 1,3 --levels 4 --build 4 \\
+        --json BENCH_enumeration.json
 """
 
 import argparse
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 import bratteli
-from bratteli.trapezoids import WidenSchedule, _grow_spans, dependence_bound, enumerate_level
+from bratteli.trapezoids import WidenSchedule, _grow_spans, enumerate_level
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from test_trapezoids import BVD_DIGESTS  # noqa: E402  (the pinned widths-1 digests)
@@ -56,10 +56,10 @@ def best_of(repeats, fn):
     return best, result
 
 
-def measure(level, length, schedule, repeats):
-    level_s, traps = best_of(repeats, lambda: enumerate_level(level, schedule, length))
+def measure(level, schedule, repeats):
+    level_s, traps = best_of(repeats, lambda: enumerate_level(level, schedule))
     grown = [_grow_spans(level, cw, schedule) for cw in range(1, level + 1)]
-    return {"level": level, "L": length, "enumerate_level_s": round(level_s, 4),
+    return {"level": level, "enumerate_level_s": round(level_s, 4),
             "peak_states": max(peak for _, peak in grown),
             "fingerprints": sum(len(list(spans)) for spans, _ in grown),
             "trapezoids": len(traps)}
@@ -98,17 +98,17 @@ def run_cli(args):
     return stdout, float(wall_s), int(rss_kib) / 1024
 
 
-def build_once(levels, length, schedule):
+def build_once(levels, schedule):
     """Wall time, peak RSS, level sizes and BVD sha256 of one
     ``build-fullshift`` run in a child process."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "fullshift.bvd"
         stdout, wall_s, rss_mb = run_cli(
-            ["build-fullshift", "-k", str(levels), "-L", str(length),
+            ["build-fullshift", "-k", str(levels),
              "--widths", ",".join(map(str, schedule.widths)), "-o", str(out)])
         bvd_sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
     sizes = [int(line.split("=")[1]) for line in stdout.splitlines() if line.startswith("V_")]
-    return {"levels": levels, "L": length, "wall_s": round(wall_s, 3),
+    return {"levels": levels, "wall_s": round(wall_s, 3),
             "peak_rss_mb": round(rss_mb, 1), "level_sizes": sizes,
             "bvd_sha256": bvd_sha256}
 
@@ -153,36 +153,28 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--widths", default="1", help="comma list of widening widths")
     parser.add_argument("--levels", type=int, default=3, help="levels 1..N")
-    parser.add_argument("--lengths", default="14,16,18", help="comma list of word lengths")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--build", default=None, metavar="K,L",
-                        help="also time one build-fullshift -k K -L L in a child process")
+    parser.add_argument("--build", type=int, default=None, metavar="K",
+                        help="also time one build-fullshift -k K in a child process")
     parser.add_argument("--json", type=Path, default=None, metavar="FILE",
                         help="store the table in FILE under the source's git revision")
     args = parser.parse_args()
     schedule = WidenSchedule.parse(args.widths)
-    lengths = [int(x) for x in args.lengths.split(",")]
 
-    print(f"{'level':>5} {'L':>3} {'level [s]':>10} {'peak states':>11} "
-          f"{'fingerprints':>12} {'vertices':>8}")
+    print(f"{'level':>5} {'level [s]':>10} {'peak states':>11} {'fingerprints':>12} {'vertices':>8}")
     rows = []
     for level in range(1, args.levels + 1):
-        for length in lengths:
-            if length < dependence_bound(level, schedule)[2]:
-                continue
-            row = measure(level, length, schedule, args.repeats)
-            rows.append(row)
-            print(f"{level:>5} {length:>3} {row['enumerate_level_s']:>10.3f} "
-                  f"{row['peak_states']:>11} {row['fingerprints']:>12} {row['trapezoids']:>8}")
+        row = measure(level, schedule, args.repeats)
+        rows.append(row)
+        print(f"{level:>5} {row['enumerate_level_s']:>10.3f} {row['peak_states']:>11} "
+              f"{row['fingerprints']:>12} {row['trapezoids']:>8}")
     build = {}
     if args.build is not None:
-        levels, length = (int(x) for x in args.build.split(","))
-        build = {"build": build_once(levels, length, schedule)}
+        build = {"build": build_once(args.build, schedule)}
         print(json.dumps(build["build"]))
-        if schedule.widths == (1,) and levels in BVD_DIGESTS:
-            pinned = BVD_DIGESTS[levels][1]
-            if build["build"]["bvd_sha256"] != pinned:
-                raise SystemExit(f"error: level-{levels} BVD sha256 is not the pinned {pinned}")
+        pinned = BVD_DIGESTS.get(args.build) if schedule.widths == (1,) else None
+        if pinned is not None and build["build"]["bvd_sha256"] != pinned:
+            raise SystemExit(f"error: level-{args.build} BVD sha256 is not the pinned {pinned}")
     if args.json is not None:
         store(args.json, rows, schedule, repeats=args.repeats, **build)
 

@@ -36,14 +36,15 @@ def _format_diagram(diagram, fmt: str) -> str:
 
 def cmd_build_fullshift(args) -> int:
     # the full-shift and marker commands import numpy; the others never do
-    from .trapezoids import InsufficientWindowError, WidenSchedule, build_diagram
+    from .trapezoids import WidenSchedule, build_diagram, dependence_bound
 
     schedule = WidenSchedule.parse(args.widths)
-    try:
-        diagram = build_diagram(args.levels, schedule, args.word_length)
-    except InsufficientWindowError as exc:
-        print(f"error: {exc}; increase --word-length", file=sys.stderr)
-        return 1
+    if args.word_length is not None and args.levels >= 1:
+        bound = dependence_bound(args.levels, schedule)[2]
+        if args.word_length < bound:
+            raise ValueError(f"word length {args.word_length} below the dependence bound "
+                             f"{bound} for level {args.levels}; increase --word-length")
+    diagram = build_diagram(args.levels, schedule)
     for k in range(1, diagram.depth + 1):
         print(f"V_{k} = {diagram.level_size(k)}")
     _emit(_format_diagram(diagram, args.format), args.out)
@@ -121,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-fullshift",
                        help="build the marker-rule diagram of the binary full shift")
     p.add_argument("--levels", "-k", type=int, default=3, help="levels below the root")
-    p.add_argument("--word-length", "-L", type=int, default=18, dest="word_length",
-                   help="word length the top level's windows must fit in; checked, "
-                        "it changes neither the work nor the output")
+    p.add_argument("--word-length", "-L", type=int, default=None, dest="word_length",
+                   help="optional: fail unless the top level's windows fit in this many "
+                        "cells; changes neither the work nor the output")
     p.add_argument("--widths", default="1", help="comma list of widening rectangle widths")
     p.add_argument("--format", choices=["bvd", "dot"], default="bvd")
     p.add_argument("--out", "-o", default=None, help="output file (default: stdout)")

@@ -10,6 +10,7 @@ vertex; an edge of ``E_k`` runs from a *source* in ``V_k`` to a *target* in
 from __future__ import annotations
 
 import gc
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat, takewhile
@@ -319,26 +320,17 @@ def _escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+_UNESCAPES = {"n": "\n", '"': '"', "\\": "\\"}
+
+
 def _unescape(s: str, line: int) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            if i + 1 >= len(s):
-                raise BVDParseError(line, "dangling backslash in label")
-            nxt = s[i + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt in ('"', "\\"):
-                out.append(nxt)
-            else:
-                raise BVDParseError(line, f"unknown escape \\{nxt}")
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    def one(m: re.Match) -> str:
+        if m[1] in _UNESCAPES:
+            return _UNESCAPES[m[1]]
+        raise BVDParseError(line, f"unknown escape \\{m[1]}" if m[1]
+                            else "dangling backslash in label")
+
+    return re.sub(r"\\(.?)", one, s, flags=re.S)
 
 
 def serialize(diagram: OrderedBratteliDiagram) -> str:

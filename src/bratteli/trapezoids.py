@@ -12,6 +12,7 @@ edges record the internal occurrences of level-k trapezoids inside level-
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -253,6 +254,15 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
     return pad_left, pad_right, k + pad_left + pad_right + 1
 
 
+@functools.cache
+def _marker_table(r: int) -> np.ndarray:
+    """Row r's marker bit at cell ``2r - 2`` of every int word of ``3r - 2``
+    cells, the cells that bit depends on; shared by all levels and core widths."""
+    table = _kernels.marker_rows(np.arange(1 << 3 * r - 2), 3 * r - 2, r)[0]
+    table.flags.writeable = False
+    return table
+
+
 def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
                 ) -> tuple[Iterator[tuple[TrapezoidRow, ...]], int]:
     """The distinct spans of the level-k blocks with core ``[pad_left,
@@ -279,8 +289,6 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
     margin = sum(schedule.widths_below(k))
     a, b = pad_left - margin, pad_left + core_width + margin
     ends, last = (pad_left, pad_left + core_width), b + 2 * k - 2
-    tables = [_kernels.marker_rows(np.arange(1 << 3 * r - 2), 3 * r - 2, r)[0]
-              for r in range(1, k + 1)]
     n = b - a
     n_bits = n + k * (n + 1)
     spans = np.zeros((1, -(-n_bits // 8)), dtype=np.uint8)  # span bits, packed
@@ -295,7 +303,7 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
         for r in range(1, k + 1):
             p = t - 2 * r + 2
             if a <= p <= b:
-                bit = tables[r - 1][cells & (1 << 3 * r - 2) - 1]
+                bit = _marker_table(r)[cells & (1 << 3 * r - 2) - 1]
                 known.append((n + (r - 1) * (n + 1) + p - a, bit))
                 if r == k and ends[0] <= p <= ends[1]:
                     keep = bit if p in ends else ~bit
@@ -319,26 +327,22 @@ def _span_rows(span: np.ndarray, a: int, n: int) -> tuple[TrapezoidRow, ...]:
         p for p, bit in enumerate(span[j:j + n + 1], a) if bit)) for j in range(n, len(span), n + 1))
 
 
-def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule(),
-                    word_length: int = 18) -> tuple[Trapezoid, ...]:
-    """All level-k trapezoids occurring in the binary full shift.
+def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple[Trapezoid, ...]:
+    """All level-k trapezoids occurring in the binary full shift, a set
+    fixed by k and the schedule alone.
 
     Any trapezoid is a function of the window of cells that
     :func:`dependence_bound` pads its core to, so extracting one trapezoid
-    from every window pattern whose core is a k-block is complete, and the
-    result does not depend on ``word_length``, which only has to hold the
-    longest window.  Core widths stop at k because determined row-k markers
-    are at most k apart: the argmax of any k-window of block starts is a
-    marker.  One trapezoid is extracted per distinct :func:`_grow_spans`
-    span, from its rows alone, so a read outside them raises.  Result is
-    sorted by canonical serialization, which fixes vertex index assignment.
+    from every window pattern whose core is a k-block is complete.  Core
+    widths stop at k because determined row-k markers are at most k apart:
+    the argmax of any k-window of block starts is a marker.  One trapezoid
+    is extracted per distinct :func:`_grow_spans` span, from its rows alone,
+    so a read outside them raises.  Result is sorted by canonical
+    serialization, which fixes vertex index assignment.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    pad_left, _, min_len = dependence_bound(k, schedule)
-    if word_length < min_len:
-        raise InsufficientWindowError(
-            f"word length {word_length} below the dependence bound {min_len} for level {k}")
+    pad_left = dependence_bound(k, schedule)[0]
     found = {_extract(rows, pad_left, pad_left + cw, k, schedule)
              for cw in range(1, k + 1) for rows in _grow_spans(k, cw, schedule)[0]}
     return tuple(sorted(found, key=canonical_text))
@@ -378,9 +382,9 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
     return internal, (external[0], external[1])
 
 
-def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule(),
-                  word_length: int = 18) -> OrderedBratteliDiagram:
-    """The ordered diagram whose level-k vertices are all k-trapezoids and
+def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule()) -> OrderedBratteliDiagram:
+    """The ordered diagram whose level-k vertices, for k = 1..levels, are
+    all k-trapezoids of the binary full shift (:func:`enumerate_level`) and
     whose edges are internal occurrences (order 0 = leftmost).
 
     Vertex labels carry the canonical trapezoid text, so the diagram
@@ -388,9 +392,7 @@ def build_diagram(levels: int, schedule: WidenSchedule = WidenSchedule(),
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    # the top level first: its word-length check covers every level, as the
-    # dependence bound grows with the level
-    level_traps = [enumerate_level(k, schedule, word_length) for k in range(levels, 0, -1)][::-1]
+    level_traps = [enumerate_level(k, schedule) for k in range(1, levels + 1)]
     sizes = [1] + [len(ts) for ts in level_traps]
     labels = {}
     for k, ts in enumerate(level_traps, start=1):

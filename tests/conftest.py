@@ -85,5 +85,5 @@ def oracle_prefix_set_diameter(prefixes) -> float:
 
 @pytest.fixture(scope="session")
 def fullshift3() -> OrderedBratteliDiagram:
-    """Three-level full-shift diagram at a stabilized word length."""
-    return build_diagram(3, WidenSchedule((1,)), 14)
+    """Three-level full-shift diagram."""
+    return build_diagram(3, WidenSchedule((1,)))

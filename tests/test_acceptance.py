@@ -16,9 +16,8 @@ from bratteli.catalog import (binary_tree, example_7_1, example_7_2,
                               example_7_3, odometer)
 from bratteli.diagram import prefix_from_indices
 from bratteli.markers import dominates, mark_all_rows, row_markers
-from bratteli.trapezoids import (WidenSchedule, build_diagram, enumerate_level,
-                                 path_to_window, render_trapezoid,
-                                 window_shift_mismatches)
+from bratteli.trapezoids import (WidenSchedule, enumerate_level, path_to_window,
+                                 render_trapezoid, window_shift_mismatches)
 from bratteli.vershik import (all_prefixes, image_diameter_profile,
                               interior_witness, is_maximal_prefix,
                               minimal_prefixes, orbit, successor)
@@ -43,11 +42,6 @@ def report(capsys):
     return reporter
 
 
-@pytest.fixture(scope="module")
-def fullshift_18():
-    return build_diagram(3, W1, WORD_LENGTH)
-
-
 def test_01_level_counts_via_cli(report, tmp_path):
     with report("01 level-counts"):
         started = time.monotonic()
@@ -63,7 +57,7 @@ def test_01_level_counts_via_cli(report, tmp_path):
 
 def test_02_level2_contents(report):
     with report("02 level-2 contents"):
-        pictures = {render_trapezoid(t) for t in enumerate_level(2, W1, WORD_LENGTH)}
+        pictures = {render_trapezoid(t) for t in enumerate_level(2, W1)}
         expected = {
             "0|0|0\n |0|", "0|0|1\n |0|", "1|0|0\n |0|",
             "0|1|0|1\n |1 0|", "0|1|0|0\n |1 0|",
@@ -129,15 +123,15 @@ def test_05_domination_prefix_property(report):
         assert violations == 0
 
 
-def test_06_successor_is_left_shift(report, fullshift_18):
+def test_06_successor_is_left_shift(report, fullshift3):
     with report("06 successor = left shift on windows"):
         checked = 0
-        for p in all_prefixes(fullshift_18, 3):
+        for p in all_prefixes(fullshift3, 3):
             if is_maximal_prefix(p):
                 continue
             q = successor(p)
-            mismatches = window_shift_mismatches(path_to_window(fullshift_18, p),
-                                                 path_to_window(fullshift_18, q))
+            mismatches = window_shift_mismatches(path_to_window(fullshift3, p),
+                                                 path_to_window(fullshift3, q))
             assert mismatches == [], (str(p), mismatches)
             checked += 1
         assert checked > 0
@@ -203,22 +197,27 @@ def test_09_shrinkage_example_7_2(report):
             previous = profile[n].diameter
 
 
-def test_10_diagnostics_fixtures(report, fullshift_18):
+def test_10_diagnostics_fixtures(report, fullshift3):
     with report("10 diagnostics fixtures"):
         bt = binary_tree(4)
         assert len(interior_witness(bt, "max", 1, 3)) == 2
         assert len(interior_witness(bt, "min", 1, 3)) == 2
-        assert interior_witness(fullshift_18, "max", 1, 2) == []
-        assert interior_witness(fullshift_18, "min", 1, 2) == []
+        assert interior_witness(fullshift3, "max", 1, 2) == []
+        assert interior_witness(fullshift3, "min", 1, 2) == []
         e72 = example_7_2(6)
         assert [p.edges[0].source for p in interior_witness(e72, "max", 1, 4)] == [2]
         assert [p.edges[0].source for p in interior_witness(e72, "min", 1, 4)] == [0]
 
 
-def test_11_stabilization(report):
+def test_11_stabilization(report, tmp_path):
     with report("11 stabilization L vs L+2"):
-        for k in (1, 2, 3):
-            small = enumerate_level(k, W1, WORD_LENGTH)
-            large = enumerate_level(k, W1, WORD_LENGTH + 2)
-            assert small == large
-            assert len(small) == (2, 11, 15)[k - 1]
+        runs = []
+        for length in (WORD_LENGTH, WORD_LENGTH + 2):
+            out = tmp_path / f"fullshift-{length}.bvd"
+            res = subprocess.run(
+                CLI + ["build-fullshift", "-k", "3", "-L", str(length), "-o", str(out)],
+                capture_output=True, text=True, env=CLI_ENV)
+            assert res.returncode == 0, res.stderr
+            runs.append((res.stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].splitlines() == ["V_1 = 2", "V_2 = 11", "V_3 = 15"]

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,7 @@ import pytest
 from bratteli.catalog import example_7_2, odometer
 from bratteli.diagram import serialize
 from conftest import CLI, CLI_ENV
+from test_trapezoids import BVD_DIGESTS
 
 
 def run(*args, **kw):
@@ -33,6 +35,14 @@ def test_build_fullshift_single_level():
     res = run("build-fullshift", "--levels", "1", "--word-length", "8", "-o", "/dev/null")
     assert res.returncode == 0
     assert res.stdout.splitlines() == ["V_1 = 2"]
+
+
+def test_build_fullshift_needs_no_word_length(tmp_path):
+    out_path = tmp_path / "fs5.bvd"
+    res = run("build-fullshift", "-k", "5", "-o", str(out_path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["V_1 = 2", "V_2 = 11", "V_3 = 15", "V_4 = 25", "V_5 = 39"]
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == BVD_DIGESTS[5]
 
 
 def test_build_fullshift_window_too_small():

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,13 @@ from bratteli.diagram import deserialize, serialize
 from bratteli.markers import mark_all_rows
 from bratteli.trapezoids import (InsufficientWindowError, Trapezoid,
                                  TrapezoidRow, WidenSchedule, _extract, _grow_spans,
+                                 _marker_table,
                                  build_diagram, canonical_text, decompose,
                                  dependence_bound, enumerate_level, k_blocks,
                                  path_to_window, render_trapezoid, trapezoid_at,
                                  trapezoid_from_text, window_shift_mismatches)
 from bratteli.vershik import all_prefixes, is_maximal_prefix, successor
+from conftest import CLI, CLI_ENV
 
 W1 = WidenSchedule((1,))
 
@@ -135,31 +138,32 @@ def test_translation_invariance():
 
 
 def test_enumerate_level_counts():
-    assert len(enumerate_level(1, W1, 10)) == 2
-    assert len(enumerate_level(2, W1, 12)) == 11
-    assert len(enumerate_level(3, W1, 13)) == 15
+    assert len(enumerate_level(1, W1)) == 2
+    assert len(enumerate_level(2, W1)) == 11
+    assert len(enumerate_level(3, W1)) == 15
 
 
 def test_enumerate_level_one_contents():
-    pics = {render_trapezoid(t) for t in enumerate_level(1, W1, 8)}
+    pics = {render_trapezoid(t) for t in enumerate_level(1, W1)}
     assert pics == {"|0|", "|1|"}
 
 
 def test_enumerate_level_two_matches_published_listing():
-    pics = {render_trapezoid(t) for t in enumerate_level(2, W1, 12)}
+    pics = {render_trapezoid(t) for t in enumerate_level(2, W1)}
     assert pics == LEVEL2_PICTURES
 
 
 def test_enumerate_level_three_matches_published_listing():
-    pics = {render_trapezoid(t) for t in enumerate_level(3, W1, 13)}
+    pics = {render_trapezoid(t) for t in enumerate_level(3, W1)}
     assert pics == LEVEL3_PICTURES
 
 
 def test_enumerate_level_stabilizes():
-    for k, length in ((1, 8), (2, 11), (3, 13)):
-        a = enumerate_level(k, W1, length)
-        b = enumerate_level(k, W1, length + 2)
-        assert a == b
+    # the level-k set depends on the widths below k alone
+    for k, count in ((1, 2), (2, 11), (3, 15)):
+        found = enumerate_level(k, W1)
+        assert len(found) == count
+        assert enumerate_level(k, WidenSchedule((1, k + 1))) == found
 
 
 # (widths, level) -> distinct trapezoids
@@ -171,12 +175,7 @@ COMPLETENESS_IDS = [f"w{'-'.join(map(str, w))}-k{k}" for w, k in sorted(COMPLETE
 
 @pytest.mark.parametrize("widths,k", sorted(COMPLETENESS_CASES), ids=COMPLETENESS_IDS)
 def test_enumerate_level_complete_at_dependence_bound(widths, k):
-    schedule = WidenSchedule(widths)
-    shortest = dependence_bound(k, schedule)[2]
-    found = enumerate_level(k, schedule, shortest)
-    assert len(found) == COMPLETENESS_CASES[widths, k]
-    for length in range(shortest + 1, shortest + 3):
-        assert enumerate_level(k, schedule, length) == found
+    assert len(enumerate_level(k, WidenSchedule(widths))) == COMPLETENESS_CASES[widths, k]
 
 
 ORACLE_CASES = sorted(COMPLETENESS_CASES) + [((1,), 4)]
@@ -204,14 +203,21 @@ def test_grown_spans_equal_the_window_scan(widths, k):
     assert grown == set(scanned)
     for (cw, rows), t in scanned.items():
         assert _extract(rows, pad_left, pad_left + cw, k, schedule) == t
-    assert set(enumerate_level(k, schedule, min_len)) == set(scanned.values())
+    assert set(enumerate_level(k, schedule)) == set(scanned.values())
 
 
 def test_enumerate_level_word_length_bound():
-    _, _, min3 = dependence_bound(3, W1)
-    with pytest.raises(InsufficientWindowError):
-        enumerate_level(3, W1, min3 - 1)
-    assert enumerate_level(3, W1, min3)  # exactly at the bound is fine
+    # the word length is only an assertion of the CLI, made against the bound
+    assert dependence_bound(3, W1)[2] == 13
+    short = subprocess.run(CLI + ["build-fullshift", "-k", "3", "-L", "12"],
+                           capture_output=True, text=True, env=CLI_ENV)
+    assert short.returncode == 1
+    assert short.stdout == ""
+    assert short.stderr == ("error: word length 12 below the dependence bound 13 for level 3; "
+                            "increase --word-length\n")
+    exact = subprocess.run(CLI + ["build-fullshift", "-k", "3", "-L", "13", "-o", "/dev/null"],
+                           capture_output=True, text=True, env=CLI_ENV)
+    assert exact.returncode == 0, exact.stderr  # exactly at the bound is fine
 
 
 GUARD_CASES = [((1,), k) for k in range(1, 6)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
@@ -219,8 +225,7 @@ GUARD_CASES = [((1,), k) for k in range(1, 6)] + [(w, k) for w in ((1, 2), (1, 3
 
 @functools.cache
 def level_set(widths, k):
-    schedule = WidenSchedule(widths)
-    return frozenset(enumerate_level(k, schedule, dependence_bound(k, schedule)[2]))
+    return frozenset(enumerate_level(k, WidenSchedule(widths)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,8 +257,8 @@ def test_every_block_of_a_long_word_is_enumerated(data):
 
 
 def test_decompose_published_fixtures():
-    level1 = enumerate_level(1, W1, 8)
-    level2 = enumerate_level(2, W1, 12)
+    level1 = enumerate_level(1, W1)
+    level2 = enumerate_level(2, W1)
     by_pic = {render_trapezoid(t): t for t in level2}
     internal, external = decompose(by_pic["0|0|0\n |0|"], level1, W1)
     assert [render_trapezoid(t) for t in internal] == ["|0|"]
@@ -264,8 +269,8 @@ def test_decompose_published_fixtures():
 
 
 def test_decompose_level3_shape():
-    level2 = enumerate_level(2, W1, 12)
-    for t in enumerate_level(3, W1, 13):
+    level2 = enumerate_level(2, W1)
+    for t in enumerate_level(3, W1):
         internal, external = decompose(t, level2, W1)
         assert 1 <= len(internal) <= 3
         assert all(s in set(level2) for s in internal)
@@ -274,16 +279,16 @@ def test_decompose_level3_shape():
 
 
 def test_decompose_detects_missing_member():
-    level2 = enumerate_level(2, W1, 12)
+    level2 = enumerate_level(2, W1)
     ones = next(t for t in level2 if render_trapezoid(t) == "1|1|1\n |1|")
-    zero_only = [t for t in enumerate_level(1, W1, 8)
+    zero_only = [t for t in enumerate_level(1, W1)
                  if render_trapezoid(t) == "|0|"]
     with pytest.raises(ValueError, match="not found"):
         decompose(ones, zero_only, W1)
 
 
 def test_canonical_text_round_trip():
-    for t in enumerate_level(3, W1, 13):
+    for t in enumerate_level(3, W1):
         assert trapezoid_from_text(canonical_text(t)) == t
 
 
@@ -310,24 +315,35 @@ def test_build_diagram_structure(fullshift3):
         assert trapezoid_from_text(text).level == k
 
 
-# (word length, sha256 of the serialized diagram as `build-fullshift -k K
-# -L length -o` writes it); levels 1-5 recorded with one extraction per
-# window, level 6 by window fingerprints and by span growth alike
+# sha256 of the serialized diagram as `build-fullshift -k K -o` writes it;
+# levels 1-5 recorded with one extraction per window, level 6 by window
+# fingerprints and by span growth alike, level 7 by span growth and by
+# fingerprints of the grown keys
 BVD_DIGESTS = {
-    1: (17, "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9"),
-    2: (17, "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d"),
-    3: (17, "80bc1b4086317aaa9e09db0a2dcdc66e5a7cc8aeeea1f01ee1520c3c0b5fb259"),
-    4: (17, "72ed80e7d1aca69029d7db739b2ce644399ecc6d2c0079222b6e7ff042f74335"),
-    5: (21, "ceac169be6c8623c965400cd49f44940e7510c1d6892d6b29025d7f9c5321192"),
-    6: (25, "3a6f5846e0c066a9a4b00d6c0507b3a4c3941b975449b5fc8ab1f769da738db8"),
+    1: "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9",
+    2: "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d",
+    3: "80bc1b4086317aaa9e09db0a2dcdc66e5a7cc8aeeea1f01ee1520c3c0b5fb259",
+    4: "72ed80e7d1aca69029d7db739b2ce644399ecc6d2c0079222b6e7ff042f74335",
+    5: "ceac169be6c8623c965400cd49f44940e7510c1d6892d6b29025d7f9c5321192",
+    6: "3a6f5846e0c066a9a4b00d6c0507b3a4c3941b975449b5fc8ab1f769da738db8",
+    7: "f21d9dc05b711fdf13cad829c74860d2a0d44288ee7ff8431faba1a9a42b4f18",
 }
 
 
 @pytest.mark.parametrize("levels", sorted(BVD_DIGESTS))
 def test_build_diagram_bvd_digest(levels):
-    length, digest = BVD_DIGESTS[levels]
-    text = serialize(build_diagram(levels, W1, length))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    text = serialize(build_diagram(levels, W1))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BVD_DIGESTS[levels]
+
+
+def test_build_diagram_builds_each_marker_table_once(monkeypatch):
+    rows = []
+    marker_rows = _kernels.marker_rows
+    monkeypatch.setattr(_kernels, "marker_rows",
+                        lambda words, length, k: rows.append(k) or marker_rows(words, length, k))
+    _marker_table.cache_clear()
+    build_diagram(6, W1)
+    assert sorted(rows) == [1, 2, 3, 4, 5, 6]
 
 
 def test_fullshift_extremal_prefix_counts(fullshift3):
@@ -414,9 +430,8 @@ def test_wider_schedule_full_widening():
     # widths (1, 2) is the full widening for three levels: level 2 is
     # unchanged (only w=1 applies) while level 3 grows well past 50
     sched = WidenSchedule((1, 2))
-    assert len(enumerate_level(2, sched, 12)) == 11
-    _, _, min3 = dependence_bound(3, sched)
-    d = build_diagram(3, sched, min3)
+    assert len(enumerate_level(2, sched)) == 11
+    d = build_diagram(3, sched)
     assert d.level_sizes == (1, 2, 11, 87)
     assert d.validate() == []
     traps3 = [trapezoid_from_text(d.label(3, v)) for v in range(87)]
