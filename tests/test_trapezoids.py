@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from bratteli import _kernels
 from bratteli.diagram import deserialize, serialize
 from bratteli.markers import mark_all_rows
-from bratteli.trapezoids import (InsufficientWindowError, Trapezoid,
-                                 TrapezoidRow, WidenSchedule, _extract, _grow_spans,
-                                 _marker_table,
+from bratteli.trapezoids import (InsufficientWindowError, Trapezoid, TrapezoidRow,
+                                 WidenSchedule, _extract, _grow_spans, _marker_table,
                                  build_diagram, canonical_text, decompose,
                                  dependence_bound, enumerate_level, k_blocks,
                                  path_to_window, render_trapezoid, trapezoid_at,
