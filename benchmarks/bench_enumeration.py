@@ -127,20 +127,23 @@ def source_identity():
     return rev, digest.hexdigest()
 
 
-def store(path, rows, schedule, **fields):
+def store(path, rows, schedule=None, **fields):
     """Store ``rows`` and ``fields`` in the JSON file ``path`` under the git
-    revision of the imported source and the schedule, replacing an earlier
-    record under that name."""
+    revision of the imported source, replacing an earlier record under that
+    name.  A ``schedule`` adds its widths to the record, and to the name when
+    they are not the default ``1``; the dynamics records have none."""
     rev, src_sha256 = source_identity()
-    widths = ",".join(map(str, schedule.widths))
-    name = rev if widths == "1" else f"{rev} widths={widths}"
+    name = rev
+    if schedule is not None:
+        fields = {"widths": list(schedule.widths), **fields}
+        if schedule.widths != (1,):
+            name = f"{rev} widths={','.join(map(str, schedule.widths))}"
     records = json.loads(path.read_text()) if path.exists() else {}
     records[name] = {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "src_sha256": src_sha256,
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
-        "widths": list(schedule.widths),
         **fields,
         "rows": rows,
     }

@@ -45,9 +45,14 @@ def cmd_build_fullshift(args) -> int:
             raise ValueError(f"word length {args.word_length} below the dependence bound "
                              f"{bound} for level {args.levels}; increase --word-length")
     diagram = build_diagram(args.levels, schedule)
+    text = _format_diagram(diagram, args.format)
+    if args.out is not None and args.out != "-":
+        # before any output, so an unwritable --out prints nothing
+        _emit(text, args.out)
+        text = ""
     for k in range(1, diagram.depth + 1):
         print(f"V_{k} = {diagram.level_size(k)}")
-    _emit(_format_diagram(diagram, args.format), args.out)
+    sys.stdout.write(text)
     return 0
 
 

@@ -256,8 +256,9 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
 
 @functools.cache
 def _marker_table(r: int) -> np.ndarray:
-    """Row r's marker bit at cell ``2r - 2`` of every int word of ``3r - 2``
-    cells, the cells that bit depends on; shared by all levels and core widths."""
+    """Row r's marker bit at cell ``r - 1`` (bit ``2r - 2`` of the int; cell 0
+    is the top bit), the one position a word of ``3r - 2`` cells decides, for
+    every such int word; shared by all levels and core widths."""
     table = _kernels.marker_rows(np.arange(1 << 3 * r - 2), 3 * r - 2, r)[0]
     table.flags.writeable = False
     return table

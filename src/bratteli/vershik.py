@@ -130,7 +130,8 @@ def interior_witness(diagram: OrderedBratteliDiagram, side: Side, depth: int,
 
     An empty list certifies, to the probe depth, that no depth-N cylinder
     lies inside the extremal set.  A non-empty list is candidate evidence
-    only: deeper levels could still break it.
+    only: deeper levels could still break it.  The probe is one pass per
+    level, from the limit up to depth N, so it works at any depth.
     """
     if side not in ("max", "min"):
         raise ValueError(f"side must be 'max' or 'min', got {side!r}")
@@ -140,25 +141,14 @@ def interior_witness(diagram: OrderedBratteliDiagram, side: Side, depth: int,
         raise ValueError(f"probe depth must be >= 1, got {probe_depth}")
     limit = min(depth + probe_depth, diagram.depth)
     pick = -1 if side == "max" else 0
-    memo: dict[tuple[int, int], bool] = {}
-
-    def all_extremal_below(vertex: int, level: int) -> bool:
-        if level == limit:
-            return True
-        key = (vertex, level)
-        if key in memo:
-            return memo[key]
-        ok = True
-        for e in diagram.edges_to(level + 1, vertex):
-            extremal = diagram.edges_from(level + 1, e.source)[pick] == e
-            if not (extremal and all_extremal_below(e.source, level + 1)):
-                ok = False
-                break
-        memo[key] = ok
-        return ok
-
-    hits = [p for p in _extremal_prefixes(diagram, depth, pick)
-            if all_extremal_below(p.source[1], depth)]
+    # one pass up from V_limit: a vertex of V_{k-1} is kept when each edge of
+    # its in-fan is the pick-extremal edge at a kept source in V_k
+    kept = range(diagram.level_size(limit))
+    for k in range(limit, depth, -1):
+        fans = diagram._out[k - 1]
+        kept = {u for u, fan in enumerate(diagram._in[k - 1])
+                if all(e.source in kept and fans[e.source][pick] == e for e in fan)}
+    hits = [p for p in _extremal_prefixes(diagram, depth, pick) if p.source[1] in kept]
     return sorted(hits, key=lambda p: p.indices())
 
 
@@ -224,13 +214,16 @@ def image_diameter_profile(diagram: OrderedBratteliDiagram, n_max: int,
 
 
 def all_prefixes(diagram: OrderedBratteliDiagram, depth: int) -> list[PathPrefix]:
-    """Every depth-N prefix, in a deterministic order."""
+    """Every depth-N prefix, sorted by :meth:`PathPrefix.indices`."""
     if not 0 <= depth <= diagram.depth:
         raise ValueError(f"depth {depth} outside 0..{diagram.depth}")
     out = [PathPrefix(diagram, ())]
     for k in range(1, depth + 1):
-        out = [p.extend(e) for p in out for e in diagram.edges_to(k, p.source[1])]
-    return sorted(out, key=lambda p: p.indices())
+        # an in-fan lists its edges in E_k order, so extending the prefixes
+        # in order keeps them sorted; its edges need none of extend's checks
+        out = [PathPrefix(diagram, p.edges + (e,))
+               for p in out for e in diagram.edges_to(k, p.source[1])]
+    return out
 
 
 def extension_count(diagram: OrderedBratteliDiagram, p: PathPrefix,

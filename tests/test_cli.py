@@ -131,6 +131,7 @@ BAD_INPUTS = {
     "word-length-below-top-level": ("build-fullshift", "-k", "7", "-L", "18"),
     "widths-0": ("build-fullshift", "--widths", "0"),
     "widths-not-ints": ("build-fullshift", "--widths", "a,b"),
+    "build-out-dir-missing": ("build-fullshift", "-k", "2", "-o", "{missing}"),
     "catalog-depth-1": ("catalog", "example-7-2", "--depth", "1"),
     "out-dir-missing": ("catalog", "odometer", "-o", "{missing}"),
 }
@@ -256,6 +257,21 @@ def test_diagnose_isolated_column(tmp_path):
     lines = res.stdout.splitlines()
     assert "ISOLATED side=max depth=1 count=1" in lines
     assert "ISOLATED side=min depth=1 count=1" in lines
+
+
+def test_diagnose_probes_1500_levels(tmp_path):
+    # deeper than the recursion limit: a chain, one vertex and one edge per
+    # level, and the odometer
+    from bratteli.diagram import Edge, OrderedBratteliDiagram
+    chain = OrderedBratteliDiagram([1] * 1501, [Edge(k, 0, 0, 0) for k in range(1, 1501)])
+    for d, line in ((chain, "WITNESS side=max depth=1 probe=1500 count=1 status=candidate"),
+                    (odometer(1500), "WITNESS side=max depth=1 probe=1500 count=0 "
+                                     "status=certified-absent-to-probe")):
+        path = tmp_path / "deep.bvd"
+        path.write_text(serialize(d), encoding="utf-8")
+        res = run("diagnose", str(path), "--probe-depth", "1500")
+        assert res.returncode == 0, res.stderr
+        assert line in res.stdout.splitlines()
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from bratteli import vershik
 from bratteli.catalog import (binary_tree, example_7_1, example_7_2,
                               example_7_3, odometer)
-from bratteli.diagram import PathPrefix, prefix_from_indices
+from bratteli.diagram import (Edge, OrderedBratteliDiagram, PathPrefix,
+                              prefix_from_indices)
 from bratteli.vershik import (all_prefixes, extension_count,
                               image_diameter_profile, interior_witness,
                               is_maximal_prefix, is_minimal_prefix,
@@ -11,6 +14,7 @@ from bratteli.vershik import (all_prefixes, extension_count,
                               predecessor, prefix_set_diameter, successor)
 from conftest import (enumerate_prefixes, inverse_lex_key,
                       oracle_prefix_set_diameter, oracle_successor)
+from test_random_diagrams import random_diagram
 
 
 def test_odometer_successor_is_binary_increment():
@@ -126,18 +130,36 @@ def test_interior_witness_example_7_2_families():
 
 
 def test_interior_witness_matches_brute_force():
-    # oracle: extend every extremal depth-1 prefix to the probe depth and
-    # test extremality of every extension
-    for d in (binary_tree(4), odometer(4), example_7_1(4), example_7_2(4)):
+    # oracle: extend every extremal depth-N prefix to the probe depth and
+    # test extremality of every extension; probes run one past the bottom
+    diagrams = [binary_tree(4), odometer(4), example_7_1(4), example_7_2(4), example_7_3(4)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        diagrams.append(random_diagram(rng, depth=rng.randint(2, 5), max_width=3))
+    hits = 0
+    for d in diagrams:
         for side, base, pred in (("max", maximal_prefixes, is_maximal_prefix),
                                  ("min", minimal_prefixes, is_minimal_prefix)):
-            expect = []
-            for p in sorted(base(d, 1), key=lambda q: q.indices()):
-                exts = [q for q in enumerate_prefixes(d, 3)
-                        if q.edges[:1] == p.edges]
-                if exts and all(pred(q) for q in exts):
-                    expect.append(p)
-            assert interior_witness(d, side, 1, 2) == expect
+            for depth in range(1, d.depth):
+                for probe in range(1, d.depth - depth + 2):
+                    deep = enumerate_prefixes(d, min(depth + probe, d.depth))
+                    expect = []
+                    for p in sorted(base(d, depth), key=lambda q: q.indices()):
+                        exts = [q for q in deep if q.edges[:depth] == p.edges]
+                        if exts and all(pred(q) for q in exts):
+                            expect.append(p)
+                    assert interior_witness(d, side, depth, probe) == expect
+                    hits += len(expect)
+    assert hits > 0
+
+
+def test_interior_witness_at_depth_1500():
+    # one pass per level: a 1,500-level diagram exceeds the recursion limit
+    chain = OrderedBratteliDiagram([1] * 1501, [Edge(k, 0, 0, 0) for k in range(1, 1501)])
+    odo = odometer(1500)
+    for side in ("max", "min"):
+        assert interior_witness(chain, side, 1, 1499) == [PathPrefix(chain, (Edge(1, 0, 0, 0),))]
+        assert interior_witness(odo, side, 1, 1499) == []
 
 
 def test_interior_witness_argument_errors():
