@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli import _kernels
-from bratteli.diagram import deserialize, serialize
+from bratteli.catalog import example_7_2, odometer
+from bratteli.diagram import Edge, OrderedBratteliDiagram, deserialize, empty_prefix, serialize
 from bratteli.markers import mark_all_rows
 from bratteli.trapezoids import (InsufficientWindowError, Trapezoid, TrapezoidRow,
                                  WidenSchedule, _extract, _grow_spans, _marker_table,
@@ -377,6 +378,43 @@ def test_path_to_window_consistency(fullshift3):
                 assert w.symbol_at(r, mid_left + row.offset + i) == sym
             for m in row.markers:
                 assert w.marker_at(r, mid_left + m) is True
+
+
+def test_path_to_window_rejects_empty_and_unlabeled_prefixes(fullshift3):
+    with pytest.raises(ValueError, match="^empty prefix determines no window$"):
+        path_to_window(fullshift3, empty_prefix(fullshift3))
+    with pytest.raises(ValueError, match="^vertex 0 of V_1 carries no trapezoid label$"):
+        path_to_window(odometer(2), all_prefixes(odometer(2), 2)[0])
+    with pytest.raises(ValueError, match="^canonical trapezoid text must start with a T line$"):
+        path_to_window(example_7_2(2), all_prefixes(example_7_2(2), 2)[0])
+
+
+def test_path_to_window_rejects_order_past_the_occurrences():
+    d = build_diagram(2, W1)
+    v = next(v for v in range(d.level_size(2))
+             if trapezoid_from_text(d.label(2, v)).core_width == 1)
+    extra = Edge(2, v, 1, 0)
+    bad = OrderedBratteliDiagram(d.level_sizes, d.edges_at(1) + d.edges_at(2) + (extra,),
+                                 d.labels)
+    assert bad.validate() == []
+    p = empty_prefix(bad).extend(Edge(1, 0, 0, 0)).extend(extra)
+    with pytest.raises(ValueError, match="^edge order 1 exceeds the 1 internal occurrences "
+                                         "of the level-2 trapezoid$"):
+        path_to_window(bad, p)
+
+
+def test_path_to_window_rejects_swapped_labels(fullshift3):
+    bvd = serialize(fullshift3)
+    v0, v1 = r'LABEL 1 0 "T 1 1\nR 1 0 0 M 0,1"', r'LABEL 1 1 "T 1 1\nR 1 0 1 M 0,1"'
+    assert v0 in bvd and v1 in bvd
+    swapped = deserialize(bvd.replace(v0, v0[:10] + v1[10:]).replace(v1, v1[:10] + v0[10:]))
+    prefixes = all_prefixes(swapped, 3)
+    assert len(prefixes) == 29
+    for p in prefixes:
+        with pytest.raises(ValueError, match=r"^label inconsistency at level 1: occurrence "
+                                             r"[01] of the parent trapezoid does not match "
+                                             r"the vertex label$"):
+            path_to_window(swapped, p)
 
 
 def test_successor_window_shift(fullshift3):
