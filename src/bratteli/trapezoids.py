@@ -15,12 +15,15 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .diagram import Edge, OrderedBratteliDiagram, PathPrefix
-from .markers import MarkedWord
+
+if TYPE_CHECKING:  # annotations only: building the diagram never marks a word
+    from .markers import MarkedWord
 
 
 class InsufficientWindowError(ValueError):
@@ -137,9 +140,9 @@ def trapezoid_from_text(text: str) -> Trapezoid:
         raise ValueError(f"malformed T line {lines[0]!r}")
     level, core_width = int(head[1]), int(head[2])
     rows = []
-    for ln in lines[1:]:
+    for r, ln in enumerate(lines[1:], start=1):
         parts = ln.split()
-        if len(parts) not in (5, 6) or parts[0] != "R" or parts[4] != "M":
+        if len(parts) not in (5, 6) or parts[:2] != ["R", str(r)] or parts[4] != "M":
             raise ValueError(f"malformed R line {ln!r}")
         marks = frozenset(int(x) for x in parts[5].split(",")) if len(parts) == 6 else frozenset()
         rows.append(TrapezoidRow(int(parts[2]), parts[3], marks))
@@ -178,6 +181,14 @@ def _is_marker(rows: tuple[TrapezoidRow, ...], r: int, p: int) -> bool:
     return bit
 
 
+def _next_marker(rows: tuple[TrapezoidRow, ...], r: int, p: int, step: int) -> int:
+    """The nearest row-``r`` marker past ``p`` in direction ``step`` (+1 or -1)."""
+    p += step
+    while not _is_marker(rows, r, p):
+        p += step
+    return p
+
+
 def _extract(rows: tuple[TrapezoidRow, ...], start: int, end: int, level: int,
              schedule: WidenSchedule) -> Trapezoid:
     """Extract the level-``level`` trapezoid whose core is the block
@@ -189,36 +200,24 @@ def _extract(rows: tuple[TrapezoidRow, ...], start: int, end: int, level: int,
         raise ValueError(f"{len(rows)} known rows, need {level}")
     if not _is_marker(rows, level, start) or not _is_marker(rows, level, end):
         raise ValueError(f"block ends ({start}, {end}) are not row-{level} markers")
-    for m in range(start + 1, end):
-        if _is_marker(rows, level, m):
-            raise ValueError(f"block ({start}, {end}) contains an interior row-{level} marker")
-    left = [start] * (level + 1)
-    right = [end - 1] * (level + 1)
+    if _next_marker(rows, level, start, 1) != end:
+        raise ValueError(f"block ({start}, {end}) contains an interior row-{level} marker")
+    # ends[r - 1] holds the markers at the two ends of row r's extent
+    ends = [[start, end] for _ in range(level)]
     for w in sorted(schedule.widths_below(level), reverse=True):
-        edge = left[w]
-        if not _is_marker(rows, w, edge):
-            raise ValueError(f"widening boundary {edge} is not a row-{w} marker")
-        p = edge - 1
-        while not _is_marker(rows, w, p):
-            p -= 1
-        for r in range(1, w + 1):
-            left[r] = p
-        edge = right[w] + 1
-        if not _is_marker(rows, w, edge):
-            raise ValueError(f"widening boundary {edge} is not a row-{w} marker")
-        q = edge + 1
-        while not _is_marker(rows, w, q):
-            q += 1
-        for r in range(1, w + 1):
-            right[r] = q - 1
+        for side, step in ((0, -1), (1, 1)):
+            edge = ends[w - 1][side]
+            if not _is_marker(rows, w, edge):
+                raise ValueError(f"widening boundary {edge} is not a row-{w} marker")
+            p = _next_marker(rows, w, edge, step)
+            for r in range(w):
+                ends[r][side] = p
     out = []
-    for r in range(1, level + 1):
-        a, b = left[r], right[r] + 1
+    for r, ((a, b), row) in enumerate(zip(ends, rows), start=1):
         # the marker extent is the symbol extent plus one boundary, so both
         # ends being known makes every cell and marker in between known
         _is_marker(rows, r, a)
         _is_marker(rows, r, b)
-        row = rows[r - 1]
         marks = frozenset(p - start for p in row.markers if a <= p <= b)
         out.append(TrapezoidRow(a - start, row.symbols[a - row.offset:b - row.offset], marks))
     return Trapezoid(level, end - start, tuple(out))
@@ -349,6 +348,13 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple[
     return tuple(sorted(found, key=canonical_text))
 
 
+def _core_blocks(trap: Trapezoid) -> list[tuple[int, int]]:
+    """The row-(level-1) blocks of the core, left to right: block i is the occurrence
+    that edge order i stands for.  Marker nesting puts both core ends among the cuts."""
+    cuts = sorted(p for p in trap.row(trap.level - 1).markers if 0 <= p <= trap.core_width)
+    return list(zip(cuts, cuts[1:]))
+
+
 def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedule()
               ) -> tuple[list[Trapezoid], tuple[Trapezoid | None, Trapezoid | None]]:
     """Split a level-(k+1) trapezoid into its internal level-k trapezoids,
@@ -362,22 +368,16 @@ def decompose(trap: Trapezoid, level_set, schedule: WidenSchedule = WidenSchedul
     if trap.level < 2:
         raise ValueError("level-1 trapezoids have no decomposition")
     k = trap.level - 1
-    cuts = sorted(p for p in trap.row(k).markers if 0 <= p <= trap.core_width)
-    if not cuts or cuts[0] != 0 or cuts[-1] != trap.core_width:
-        raise ValueError("core boundaries are missing from the row below the core")
-    internal = [_extract(trap.rows, a, b, k, schedule) for a, b in zip(cuts, cuts[1:])]
+    internal = [_extract(trap.rows, a, b, k, schedule) for a, b in _core_blocks(trap)]
     for t in internal:
         if t not in level_set:
             raise ValueError(
                 f"internal trapezoid not found in the level-{k} set:\n{canonical_text(t)}")
     external: list[Trapezoid | None] = []
-    for scan_from, step in ((-1, -1), (trap.core_width + 1, 1)):
+    for end, step in ((0, -1), (trap.core_width, 1)):
         try:
-            p = scan_from
-            while not _is_marker(trap.rows, k, p):
-                p += step
-            a, b = (p, 0) if step < 0 else (trap.core_width, p)
-            external.append(_extract(trap.rows, a, b, k, schedule))
+            p = _next_marker(trap.rows, k, end, step)
+            external.append(_extract(trap.rows, min(p, end), max(p, end), k, schedule))
         except InsufficientWindowError:
             external.append(None)
     return internal, (external[0], external[1])
@@ -452,20 +452,22 @@ def path_to_window(diagram: OrderedBratteliDiagram, prefix: PathPrefix,
         text = diagram.label(e.level, e.source)
         if text is None:
             raise ValueError(f"vertex {e.source} of V_{e.level} carries no trapezoid label")
-        traps.append(trapezoid_from_text(text))
+        t = trapezoid_from_text(text)
+        if t.level != e.level:
+            raise ValueError(f"vertex {e.source} of V_{e.level} carries a level-{t.level} label")
+        traps.append(t)
     positions = {depth: 0}
     for k in range(depth, 1, -1):
         big = traps[k - 1]
         occ = prefix.edges[k - 1].order
-        cuts = sorted(p for p in big.row(k - 1).markers if 0 <= p <= big.core_width)
-        if occ >= len(cuts) - 1:
-            raise ValueError(f"edge order {occ} exceeds the {len(cuts) - 1} internal "
+        blocks = _core_blocks(big)
+        if occ >= len(blocks):
+            raise ValueError(f"edge order {occ} exceeds the {len(blocks)} internal "
                              f"occurrences of the level-{k} trapezoid")
-        got = _extract(big.rows, cuts[occ], cuts[occ + 1], k - 1, schedule)
-        if got != traps[k - 2]:
+        if _extract(big.rows, *blocks[occ], k - 1, schedule) != traps[k - 2]:
             raise ValueError(f"label inconsistency at level {k - 1}: occurrence {occ} of the "
                              "parent trapezoid does not match the vertex label")
-        positions[k - 1] = positions[k] + cuts[occ]
+        positions[k - 1] = positions[k] + blocks[occ][0]
     origin = positions[1]
     deep = traps[depth - 1]
     core_left = positions[depth] - origin
@@ -482,16 +484,14 @@ def window_shift_mismatches(before: ArrayWindow, after: ArrayWindow,
     ``shift`` (i.e. ``after[r, p]`` vs ``before[r, p + shift]``), over the
     overlap of the two windows.  Empty list = perfect agreement."""
     problems = []
-    for r in range(1, min(before.depth, after.depth) + 1):
-        arow = after.rows[r - 1]
-        for p in range(arow.offset, arow.offset + len(arow.symbols)):
-            a = after.symbol_at(r, p)
-            b = before.symbol_at(r, p + shift)
-            if a is not None and b is not None and a != b:
+    for r, (brow, arow) in enumerate(zip(before.rows, after.rows), start=1):
+        for p, a in enumerate(arow.symbols, arow.offset):
+            b = brow.symbol_at(p + shift)
+            if b is not None and a != b:
                 problems.append(f"row {r} cell {p}: {a} != {b}")
         for p in range(arow.offset, arow.offset + len(arow.symbols) + 1):
-            a = after.marker_at(r, p)
-            b = before.marker_at(r, p + shift)
-            if a is not None and b is not None and a != b:
+            a = p in arow.markers
+            b = brow.marker_at(p + shift)
+            if b is not None and a != b:
                 problems.append(f"row {r} marker {p}: {a} != {b}")
     return problems

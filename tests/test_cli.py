@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 import textwrap
@@ -32,7 +33,7 @@ def test_build_fullshift_prints_level_sizes(tmp_path):
 
 
 def test_build_fullshift_single_level():
-    res = run("build-fullshift", "--levels", "1", "--word-length", "8", "-o", "/dev/null")
+    res = run("build-fullshift", "--levels", "1", "--word-length", "8", "-o", os.devnull)
     assert res.returncode == 0
     assert res.stdout.splitlines() == ["V_1 = 2"]
 
@@ -193,6 +194,21 @@ def test_dynamics_commands_leave_numpy_unloaded(tmp_path):
         "bratteli.trapezoids bratteli.markers bratteli.trapezoids",
         "True",
     ]
+
+
+def test_build_fullshift_leaves_markers_unloaded():
+    # a fresh interpreter, since this one has the markers module loaded already
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from bratteli import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["build-fullshift", "-k", "2", "-o", {os.devnull!r}])
+        print(code, "bratteli.trapezoids" in sys.modules, "bratteli.markers" in sys.modules)
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=CLI_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["0 True False"]
 
 
 def test_catalog_bvd_round_trips(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import os
 import subprocess
 
 import pytest
@@ -215,7 +216,7 @@ def test_enumerate_level_word_length_bound():
     assert short.stdout == ""
     assert short.stderr == ("error: word length 12 below the dependence bound 13 for level 3; "
                             "increase --word-length\n")
-    exact = subprocess.run(CLI + ["build-fullshift", "-k", "3", "-L", "13", "-o", "/dev/null"],
+    exact = subprocess.run(CLI + ["build-fullshift", "-k", "3", "-L", "13", "-o", os.devnull],
                            capture_output=True, text=True, env=CLI_ENV)
     assert exact.returncode == 0, exact.stderr  # exactly at the bound is fine
 
@@ -290,6 +291,15 @@ def test_decompose_detects_missing_member():
 def test_canonical_text_round_trip():
     for t in enumerate_level(3, W1):
         assert trapezoid_from_text(canonical_text(t)) == t
+
+
+def test_trapezoid_from_text_rejects_renumbered_rows():
+    head, first, second = canonical_text(enumerate_level(2, W1)[0]).splitlines()
+    assert first == "R 1 -1 000 M -1,0,1,2"
+    with pytest.raises(ValueError, match="^malformed R line 'R 7 -1 000 M -1,0,1,2'$"):
+        trapezoid_from_text("\n".join([head, first.replace("R 1", "R 7"), second]))
+    with pytest.raises(ValueError, match="^malformed R line 'R 2 0 0 M 0,1'$"):
+        trapezoid_from_text("\n".join([head, second, first]))
 
 
 def test_trapezoid_invariant_enforcement():
@@ -403,6 +413,17 @@ def test_path_to_window_rejects_order_past_the_occurrences():
         path_to_window(bad, p)
 
 
+def test_path_to_window_rejects_labels_of_another_level(fullshift3):
+    labels = {**fullshift3.labels,
+              **{(3, v): fullshift3.label(2, v % 11) for v in range(15)}}
+    bad = OrderedBratteliDiagram(fullshift3.level_sizes,
+                                 [e for k in (1, 2, 3) for e in fullshift3.edges_at(k)], labels)
+    for p in all_prefixes(bad, 3):
+        with pytest.raises(ValueError, match=f"^vertex {p.source[1]} of V_3 carries a "
+                                             "level-2 label$"):
+            path_to_window(bad, p)
+
+
 def test_path_to_window_rejects_swapped_labels(fullshift3):
     bvd = serialize(fullshift3)
     v0, v1 = r'LABEL 1 0 "T 1 1\nR 1 0 0 M 0,1"', r'LABEL 1 1 "T 1 1\nR 1 0 1 M 0,1"'
@@ -417,17 +438,17 @@ def test_path_to_window_rejects_swapped_labels(fullshift3):
             path_to_window(swapped, p)
 
 
-def test_successor_window_shift(fullshift3):
+@pytest.mark.parametrize("levels, pairs", [(3, 14), (4, 44), (5, 106)])
+def test_successor_window_shift(levels, pairs):
+    d = build_diagram(levels, W1)
     checked = 0
-    for p in all_prefixes(fullshift3, 3):
+    for p in all_prefixes(d, levels):
         if is_maximal_prefix(p):
             continue
-        q = successor(p)
-        mism = window_shift_mismatches(path_to_window(fullshift3, p),
-                                       path_to_window(fullshift3, q))
+        mism = window_shift_mismatches(path_to_window(d, p), path_to_window(d, successor(p)))
         assert mism == [], (str(p), mism)
         checked += 1
-    assert checked > 0
+    assert checked == pairs
 
 
 def test_path_to_window_round_tripped_diagram(fullshift3):
