@@ -135,11 +135,17 @@ BAD_INPUTS = {
     "build-out-dir-missing": ("build-fullshift", "-k", "2", "-o", "{missing}"),
     "catalog-depth-1": ("catalog", "example-7-2", "--depth", "1"),
     "out-dir-missing": ("catalog", "odometer", "-o", "{missing}"),
+    "bvd-not-utf8": ("diagnose", "{latin1}"),
+    "bvd-is-a-directory": ("diagnose", "{directory}"),
+    "successor-bvd-missing": ("successor", "{missing}", "0"),
+    "markers-word-too-short": ("markers", "--word", "1", "--rows", "5"),
 }
 
 
 # the whole stderr, where it is pinned
 BAD_INPUT_MESSAGES = {
+    "markers-word-too-short":
+        "error: word of length 1 too short for row 2: no position is determined\n",
     "depth-0-bvd": "error: the diagram has no levels to diagnose\n",
     "huge-level-bvd": "error: out of memory\n",
     "word-length-too-short":
@@ -153,16 +159,22 @@ BAD_INPUT_MESSAGES = {
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     files = {"garbage": tmp_path / "garbage.bvd", "depth0": tmp_path / "depth0.bvd",
-             "huge": tmp_path / "huge.bvd",
+             "huge": tmp_path / "huge.bvd", "latin1": tmp_path / "latin1.bvd",
+             "directory": tmp_path,
              "odometer": odometer_file, "missing": tmp_path / "missing" / "out.bvd"}
     files["garbage"].write_text("hello world\n", encoding="utf-8")
     files["depth0"].write_text("BVD 1\nDEPTH 0\nLEVEL 0 1\n", encoding="utf-8")
     # 10^15 vertices: the per-vertex table is refused at once, not filled
     files["huge"].write_text("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1000000000000000\n",
                              encoding="utf-8")
+    # a valid diagram but for its label's byte 0xff, which is not UTF-8
+    files["latin1"].write_bytes(b'BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n'
+                                b'LABEL 1 0 "\xff"\nEDGE 1 0 0 0\n')
     res = run(*(a.format(**files) for a in BAD_INPUTS[name]))
-    assert res.returncode in (1, 2), res.stderr
-    assert res.stderr.startswith("error: " if res.returncode == 1 else "usage:"), res.stderr
+    # a domain error: exit 1 and one line
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert res.stderr.endswith("\n")
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
     if name in BAD_INPUT_MESSAGES:

@@ -1,10 +1,12 @@
+import copy
 import gc
+import pickle
 
 import pytest
 
 from bratteli.catalog import binary_tree, example_7_2, odometer
 from bratteli.diagram import (BVDParseError, DiagramValidationError, Edge,
-                              OrderedBratteliDiagram, PathPrefix, deserialize,
+                              OrderedBratteliDiagram, PathPrefix, Violation, deserialize,
                               empty_prefix, parse_path_spec,
                               prefix_from_indices, serialize, to_dot)
 
@@ -296,6 +298,58 @@ def test_prefix_hash_and_equality():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+    # the diagram is part of the value: equal edges on another diagram differ
+    other = odometer(3)
+    assert PathPrefix(other, a.edges) != a
+    # another class is never equal, not even the tuple of the fields
+    assert a.__eq__((d, a.edges)) is NotImplemented and a != (d, a.edges)
+
+
+def test_prefix_is_an_immutable_value():
+    d = odometer(3)
+    assert PathPrefix(d) == PathPrefix(d, ()) == empty_prefix(d)
+    p = prefix_from_indices(d, [0, 1])
+    assert PathPrefix(d, p.edges) == p
+    for name in ("diagram", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.edges == (Edge(1, 0, 0, 0), Edge(2, 0, 1, 0))
+    # not a sequence: no length, no iteration
+    assert not isinstance(p, tuple)
+    with pytest.raises(TypeError):
+        len(p)
+    with pytest.raises(TypeError):
+        iter(p)
+    # the diagram stays out of the repr
+    assert repr(p) == ("PathPrefix(edges=(Edge(level=1, source=0, order=0, target=0), "
+                       "Edge(level=2, source=0, order=1, target=0)))")
+    assert repr(PathPrefix(d)) == "PathPrefix(edges=())"
+
+
+def test_prefix_copies_and_pickles():
+    d = odometer(3)
+    p = prefix_from_indices(d, [1, 0, 1])
+    q = copy.copy(p)
+    assert q == p and q.diagram is d
+    # pickled along with its diagram, the diagram stays shared
+    d2, q = pickle.loads(pickle.dumps((d, p)))
+    assert q.diagram is d2 and q == PathPrefix(d2, p.edges) and str(q) == "1/0/1"
+    # pickled alone, it brings an equal copy of its diagram
+    q = pickle.loads(pickle.dumps(p))
+    assert q.edges == p.edges and q.diagram.structurally_equal(d)
+
+
+def test_violation_fields_and_defaults():
+    assert Violation.__match_args__ == ("code", "message", "level", "vertex")
+    v = Violation("c", "m")
+    assert (v.code, v.message, v.level, v.vertex) == ("c", "m", None, None)
+    assert v == Violation("c", "m", None, None) != Violation("c", "m", 1)
+    assert repr(Violation("c", "m", level=2, vertex=3)) == (
+        "Violation(code='c', message='m', level=2, vertex=3)")
+    with pytest.raises(AttributeError):
+        v.code = "d"
 
 
 _HEAD = "BVD 1\nDEPTH 2\nLEVEL 0 1\nLEVEL 1 2\nLEVEL 2 2\n"  # lines 1-5
