@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat, takewhile
 from operator import ge, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -34,8 +33,7 @@ class DiagramValidationError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     level: int | None = None
@@ -230,16 +228,44 @@ class OrderedBratteliDiagram:
                 f"level_sizes={list(self._sizes)})")
 
 
-@dataclass(frozen=True, slots=True)
 class PathPrefix:
     """Finite path from the root: edges ``e_1..e_N`` with ``e_k`` in E_k.
 
     Adjacency runs upward: the target of ``e_1`` is the root and the target
     of ``e_{k+1}`` is the source of ``e_k``.
+
+    An immutable value compared and hashed by ``(diagram, edges)``.  A
+    slotted class, not a tuple, so it is no sequence and never equals one;
+    not a dataclass, so importing the package does not load ``dataclasses``.
     """
 
-    diagram: OrderedBratteliDiagram = field(repr=False)
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("diagram", "edges")
+    diagram: OrderedBratteliDiagram
+    edges: tuple[Edge, ...]
+
+    def __init__(self, diagram: OrderedBratteliDiagram, edges: tuple[Edge, ...] = ()):
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.diagram, self.edges) == (other.diagram, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.diagram, self.edges))
+
+    def __repr__(self) -> str:
+        return f"PathPrefix(edges={self.edges!r})"
+
+    def __reduce__(self):
+        return (PathPrefix, (self.diagram, self.edges))
 
     @property
     def depth(self) -> int:

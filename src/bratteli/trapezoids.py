@@ -131,6 +131,13 @@ def canonical_text(t: Trapezoid) -> str:
     return "\n".join(lines)
 
 
+def _line_ints(fields: list[str], kind: str, line: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ValueError(f"malformed {kind} line {line!r}") from None
+
+
 def trapezoid_from_text(text: str) -> Trapezoid:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("T "):
@@ -138,14 +145,15 @@ def trapezoid_from_text(text: str) -> Trapezoid:
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError(f"malformed T line {lines[0]!r}")
-    level, core_width = int(head[1]), int(head[2])
+    level, core_width = _line_ints(head[1:], "T", lines[0])
     rows = []
     for r, ln in enumerate(lines[1:], start=1):
         parts = ln.split()
         if len(parts) not in (5, 6) or parts[:2] != ["R", str(r)] or parts[4] != "M":
             raise ValueError(f"malformed R line {ln!r}")
-        marks = frozenset(int(x) for x in parts[5].split(",")) if len(parts) == 6 else frozenset()
-        rows.append(TrapezoidRow(int(parts[2]), parts[3], marks))
+        marks = parts[5].split(",") if len(parts) == 6 else []
+        offset, *marks = _line_ints([parts[2], *marks], "R", ln)
+        rows.append(TrapezoidRow(offset, parts[3], frozenset(marks)))
     return Trapezoid(level, core_width, tuple(rows))
 
 

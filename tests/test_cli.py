@@ -182,7 +182,8 @@ def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
 
 
 def test_dynamics_commands_leave_numpy_unloaded(tmp_path):
-    # a fresh interpreter, since this one has numpy loaded already
+    # a fresh interpreter, since this one has numpy loaded already; nor do the
+    # dynamics commands load dataclasses, or inspect with it (~15 ms a start)
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         from bratteli import cli
@@ -191,7 +192,7 @@ def test_dynamics_commands_leave_numpy_unloaded(tmp_path):
             codes = [cli.main(["catalog", "example-7-2", "--depth", "4", "-o", bvd]),
                      cli.main(["diagnose", bvd]),
                      cli.main(["successor", bvd, "0/0/0/0", "--steps", "3"])]
-        print(codes, "numpy" in sys.modules)
+        print(codes, [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules])
         # the package still exports the numpy layers, loaded on first use
         from bratteli import Edge, WidenSchedule, build_diagram, mark_all_rows
         print(build_diagram.__module__, mark_all_rows.__module__, WidenSchedule.__module__)
@@ -202,7 +203,7 @@ def test_dynamics_commands_leave_numpy_unloaded(tmp_path):
                          env=CLI_ENV)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
-        "[0, 0, 0] False",
+        "[0, 0, 0] []",
         "bratteli.trapezoids bratteli.markers bratteli.trapezoids",
         "True",
     ]

@@ -302,6 +302,19 @@ def test_trapezoid_from_text_rejects_renumbered_rows():
         trapezoid_from_text("\n".join([head, second, first]))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("T a 1\nR 1 0 0 M 0,1", "malformed T line 'T a 1'"),
+    ("T 1 1\nR 1 x 0 M 0,1", "malformed R line 'R 1 x 0 M 0,1'"),
+    ("T 1 1\nR 1 0 0 M 0,,1", "malformed R line 'R 1 0 0 M 0,,1'"),
+])
+def test_trapezoid_from_text_names_the_line_of_a_non_integer(text, message):
+    # the line, not Python's "invalid literal for int()"
+    with pytest.raises(ValueError) as err:
+        trapezoid_from_text(text)
+    assert str(err.value) == message
+    assert trapezoid_from_text("T 1 1\nR 1 0 0 M 0,1").core_width == 1
+
+
 def test_trapezoid_invariant_enforcement():
     with pytest.raises(ValueError):  # core row must carry boundary markers
         Trapezoid(1, 1, (TrapezoidRow(0, "0", frozenset({0})),))
