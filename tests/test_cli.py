@@ -183,7 +183,7 @@ def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
 
 def test_dynamics_commands_leave_numpy_unloaded(tmp_path):
     # a fresh interpreter, since this one has numpy loaded already; nor do the
-    # dynamics commands load dataclasses, or inspect with it (~15 ms a start)
+    # dynamics commands load dataclasses, which brings inspect, ast and dis
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         from bratteli import cli

@@ -336,7 +336,7 @@ def test_prefix_copies_and_pickles():
     # pickled along with its diagram, the diagram stays shared
     d2, q = pickle.loads(pickle.dumps((d, p)))
     assert q.diagram is d2 and q == PathPrefix(d2, p.edges) and str(q) == "1/0/1"
-    # pickled alone, it brings an equal copy of its diagram
+    # pickled alone, it brings a structurally equal copy of its diagram
     q = pickle.loads(pickle.dumps(p))
     assert q.edges == p.edges and q.diagram.structurally_equal(d)
 
