@@ -439,3 +439,30 @@ def test_deserialize_reports_edges_of_a_level_declared_late():
     with pytest.raises(BVDParseError) as err:
         deserialize("\n".join(lines) + "\n")
     assert str(err.value) == f"line {first + 1}: EDGE before LEVEL declarations for 10 and 9"
+
+
+@pytest.mark.parametrize("offset", [4095, 4096, 4097])
+def test_deserialize_reports_a_bad_edge_at_a_run_boundary(offset):
+    # 10,000 EDGE lines from line 5004 on: runs of 4,096 lines are parsed in
+    # one step, so these offsets sit on either side of a run's end
+    lines = serialize(odometer(5000)).splitlines()
+    first = next(i for i, s in enumerate(lines) if s.startswith("EDGE "))
+    assert first + 1 == 5004 and len(lines) - first == 10000
+    k = lines[first + offset].split()[1]
+    lines[first + offset] = f"EDGE {k} 0 x 0"
+    with pytest.raises(BVDParseError) as err:
+        deserialize("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {5004 + offset}: EDGE: non-integer field"
+
+
+def test_deserialize_reads_edge_tags_with_any_whitespace():
+    d = example_7_2(4)
+    lines = serialize(d).splitlines()
+    first = next(i for i, s in enumerate(lines) if s.startswith("EDGE "))
+    lines[first + 1] = lines[first + 1].replace("EDGE ", "EDGE\t")
+    lines[first + 2] = "  " + lines[first + 2]
+    # a no-break space after the tag: the line starts a run of its own
+    lines[first + 4] = lines[first + 4].replace("EDGE ", "EDGE\u00a0")
+    assert [s[:5] for s in lines[first:first + 5]] == [
+        "EDGE ", "EDGE\t", "  EDG", "EDGE ", "EDGE\u00a0"]
+    assert deserialize("\n".join(lines) + "\n").structurally_equal(d)

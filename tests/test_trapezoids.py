@@ -316,13 +316,35 @@ def test_trapezoid_from_text_names_the_line_of_a_non_integer(text, message):
 
 
 def test_trapezoid_invariant_enforcement():
-    with pytest.raises(ValueError):  # core row must carry boundary markers
+    with pytest.raises(ValueError, match="^core row must carry both boundary markers$"):
         Trapezoid(1, 1, (TrapezoidRow(0, "0", frozenset({0})),))
-    with pytest.raises(ValueError):  # core width above the level
+    with pytest.raises(ValueError, match=r"^core width 2 outside 1\.\.1$"):
         Trapezoid(1, 2, (TrapezoidRow(0, "00", frozenset({0, 2})),))
-    with pytest.raises(ValueError):  # nesting of extents
+    with pytest.raises(ValueError, match="^row extents must nest downward$"):
         Trapezoid(2, 1, (TrapezoidRow(1, "0", frozenset({1})),
                          TrapezoidRow(0, "0", frozenset({0, 1}))))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("T 0 1", "level must be >= 1, got 0"),
+    ("T 2 1\nR 1 0 0 M 0,1", "expected 2 rows, got 1"),
+    ("T 1 1\nR 1 0 00 M 0,2", "core row must span exactly the core"),
+    ("T 1 1\nR 1 0 2 M 0,1", "symbols must be over {0,1}"),
+    ("T 2 1\nR 1 0 0 M 0,1,5\nR 2 0 0 M 0,1", "row 1 markers outside its extent"),
+    ("T 2 1\nR 1 -1 000 M -1,2\nR 2 0 0 M 0,1",
+     "marker nesting violated between adjacent rows"),
+])
+def test_trapezoid_from_text_enforces_each_invariant(text, message):
+    with pytest.raises(ValueError) as err:
+        trapezoid_from_text(text)
+    assert str(err.value) == message
+
+
+def test_trapezoid_at_rejects_a_block_with_an_interior_marker():
+    # (1, 5) spans the row-2 marker at 3
+    with pytest.raises(ValueError) as err:
+        trapezoid_at(mark_all_rows("0101010101", 2), (1, 5), 2)
+    assert str(err.value) == "block (1, 5) contains an interior row-2 marker"
 
 
 def test_build_diagram_structure(fullshift3):
