@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import catalog
-from .diagram import deserialize, parse_path_spec, serialize, to_dot
+from .diagram import BVDParseError, deserialize, parse_path_spec, serialize, to_dot
 from .vershik import (image_diameter_profile, interior_witness, is_isolated,
                       maximal_prefixes, minimal_prefixes, orbit)
 
@@ -26,8 +26,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _read_diagram(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            # the bytes are freed before the parse, as with a text-mode read
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted as the parser counts lines
+        head = exc.object[:exc.start].decode("utf-8")
+        raise BVDParseError(len((head + ".").splitlines()),
+                            f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    return deserialize(text)
 
 
 def _format_diagram(diagram, fmt: str) -> str:
@@ -60,7 +68,7 @@ def cmd_markers(args) -> int:
     from .markers import mark_all_rows, render_marked_word
 
     mw = mark_all_rows(args.word, args.rows)
-    if args.render or args.format == "text":
+    if args.format == "text":
         print(render_marked_word(mw))
     else:
         for k in range(1, mw.depth + 1):
@@ -140,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--format", choices=["positions", "text"], default="positions",
                    help="position lists or the pictorial text rendering")
-    p.add_argument("--render", action="store_true",
-                   help="shorthand for --format text")
     p.set_defaults(func=cmd_markers)
 
     p = sub.add_parser("successor", help="iterate the successor map along a path prefix")

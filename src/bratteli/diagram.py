@@ -382,8 +382,8 @@ def _int_fields(parts: list[str], n: int, lineno: int, what: str) -> list[int]:
 
 # EDGE lines parsed in one bulk step: bounds the fields held at once
 _EDGE_SLICE = 4096
-# how a line the bulk step takes starts, after leading whitespace; an EDGE
-# line with other whitespace after its tag is parsed on its own
+# how a line that extends a run of EDGE lines starts, after leading
+# whitespace; an EDGE line with other whitespace after its tag starts a run
 _EDGE_TAGS = ("EDGE ", "EDGE\t")
 
 
@@ -431,27 +431,6 @@ def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
         raise BVDParseError(lineno, f"negative edge order {next(o for o in orders if o < 0)}")
     # Edge._make without its per-call Python frame and length check
     return list(map(tuple.__new__, repeat(Edge), zip(levels, sources, orders, targets)))
-
-
-def _read_edge_run(lines: list[str], start: int, depth: int, sizes: dict[int, int],
-                   edges: list[Edge]) -> int:
-    """Parse the EDGE lines that follow one another from ``lines[start]`` on
-    into ``edges``, a slice at a time; returns the index of the first line
-    not parsed, which the caller reads as a record of its own."""
-    while True:
-        chunk = lines[start:start + _EDGE_SLICE]
-        n = len(list(takewhile(bool, map(str.startswith, map(str.lstrip, chunk),
-                                         repeat(_EDGE_TAGS)))))
-        if n:
-            try:
-                edges += _parse_edges(" ".join(chunk[:n]).split(), start + 1, n, depth, sizes)
-            except BVDParseError:
-                # parse the lines again one at a time to find the first bad one
-                for j in range(n):
-                    edges += _parse_edges(chunk[j].split(), start + 1 + j, 1, depth, sizes)
-        start += n
-        if n < _EDGE_SLICE:
-            return start
 
 
 def deserialize(text: str) -> OrderedBratteliDiagram:
@@ -528,8 +507,18 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
         elif kind == "EDGE":
             if depth is None:
                 raise BVDParseError(lineno, "EDGE before DEPTH")
-            edges += _parse_edges(tokens, lineno, 1, depth, sizes)
-            lineno = _read_edge_run(lines, lineno, depth, sizes, edges)
+            # this line and the EDGE lines right after it, parsed in one step;
+            # a longer run goes on as the next record
+            run = lines[lineno - 1:lineno - 1 + _EDGE_SLICE]
+            n = 1 + len(list(takewhile(bool, map(str.startswith, map(str.lstrip, run[1:]),
+                                                 repeat(_EDGE_TAGS)))))
+            try:
+                edges += _parse_edges(" ".join(run[:n]).split(), lineno, n, depth, sizes)
+            except BVDParseError:
+                # parse the lines again one at a time to find the first bad one
+                for j in range(n):
+                    edges += _parse_edges(run[j].split(), lineno + j, 1, depth, sizes)
+            lineno += n - 1
         else:
             raise BVDParseError(lineno, f"unknown record {kind!r}")
     if not header_seen:
