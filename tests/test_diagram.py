@@ -168,6 +168,12 @@ def test_serialize_round_trip_labels_with_escapes():
     assert d2.label(1, 0) == 'line1\nline2 "quoted" back\\slash'
 
 
+def test_deserialize_accepts_crlf_line_ends():
+    # each record is stripped, so a \r before its \n is not part of it
+    text = serialize(example_7_2(6))
+    assert deserialize(text.replace("\n", "\r\n")).structurally_equal(deserialize(text))
+
+
 def test_serialize_reads_labels_once(monkeypatch):
     # the labels property copies the whole dict, so a read per label is quadratic
     d = OrderedBratteliDiagram([1, 2], [Edge(1, 0, 0, 0), Edge(1, 1, 0, 0)],
