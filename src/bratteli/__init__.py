@@ -11,7 +11,7 @@ from importlib import import_module
 from .diagram import (BVDParseError, DiagramValidationError, Edge,
                       OrderedBratteliDiagram, PathPrefix, Violation,
                       deserialize, empty_prefix, parse_path_spec,
-                      prefix_from_indices, serialize, to_dot)
+                      prefix_from_indices, read_bvd, serialize, to_dot)
 from .vershik import (ProfilePoint, all_prefixes, extension_count,
                       image_diameter_profile, interior_witness,
                       is_maximal_prefix, is_minimal_prefix, maximal_prefixes,

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import catalog
-from .diagram import BVDParseError, deserialize, parse_path_spec, serialize, to_dot
+from .diagram import parse_path_spec, read_bvd, serialize, to_dot
 from .vershik import (image_diameter_profile, interior_witness, is_isolated,
                       maximal_prefixes, minimal_prefixes, orbit)
 
@@ -23,19 +23,6 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _read_diagram(path: str):
-    try:
-        with open(path, "rb") as fh:
-            # the bytes are freed before the parse, as with a text-mode read
-            text = fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, counted as the parser counts lines
-        head = exc.object[:exc.start].decode("utf-8")
-        raise BVDParseError(len((head + ".").splitlines()),
-                            f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
-    return deserialize(text)
 
 
 def _format_diagram(diagram, fmt: str) -> str:
@@ -79,7 +66,7 @@ def cmd_markers(args) -> int:
 
 
 def cmd_successor(args) -> int:
-    diagram = _read_diagram(args.diagram)
+    diagram = read_bvd(args.diagram)
     prefix = parse_path_spec(diagram, args.path)
     seq = orbit(prefix, args.steps)
     for p in seq:
@@ -90,7 +77,7 @@ def cmd_successor(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    diagram = _read_diagram(args.diagram)
+    diagram = read_bvd(args.diagram)
     k_max = diagram.depth
     if k_max == 0:
         raise ValueError("the diagram has no levels to diagnose")

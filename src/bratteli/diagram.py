@@ -333,7 +333,8 @@ def parse_path_spec(diagram: OrderedBratteliDiagram, spec: str) -> PathPrefix:
 
 # --- BVD text format ------------------------------------------------------
 #
-# Line-based, UTF-8, lines starting with '#' are comments:
+# UTF-8 lines, each ending at '\n' alone (a '\r' before it is stripped), so a
+# label may hold any other character; lines starting with '#' are comments:
 #
 #   BVD 1
 #   DEPTH <K>
@@ -458,7 +459,9 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
     labels: dict[tuple[int, int], str] = {}
     edges: list[Edge] = []
     header_seen = False
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # after the last '\n' there is no line
     lineno = 0  # of the current line, and the index of the next one
     while lineno < len(lines):
         line = lines[lineno].strip()
@@ -533,6 +536,19 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
     if violations:
         raise DiagramValidationError(violations)
     return diagram
+
+
+def read_bvd(path: str) -> OrderedBratteliDiagram:
+    """:func:`deserialize` the BVD file at ``path``; a non-UTF-8 byte fails at its line."""
+    try:
+        with open(path, "rb") as fh:
+            # the bytes are freed before the parse, as with a text-mode read
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data, at = exc.object, exc.start
+        raise BVDParseError(data.count(b"\n", 0, at) + 1,
+                            f"byte 0x{data[at]:02x} is not UTF-8") from None
+    return deserialize(text)
 
 
 def to_dot(diagram: OrderedBratteliDiagram) -> str:

@@ -12,6 +12,7 @@ carried explicitly everywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,15 +207,10 @@ def upward_adjust(rows: GenericMarkerRows) -> tuple[GenericMarkerRows, tuple[tup
         anchors = sorted(below.positions)
         out = set()
         for p in sorted(cur.positions):
-            match = None
-            for m in anchors:
-                if m > p:
-                    break
-                if m >= cur.lo:
-                    match = m
-            if match is None:
-                dropped.append((k, p))
+            i = bisect_right(anchors, p)  # anchors[i - 1] is the nearest one <= p
+            if i and anchors[i - 1] >= cur.lo:
+                out.add(anchors[i - 1])
             else:
-                out.add(match)
+                dropped.append((k, p))
         adjusted.append(MarkerRow(frozenset(out), cur.lo, cur.hi))
     return GenericMarkerRows(tuple(adjusted)), tuple(dropped)

@@ -133,6 +133,9 @@ BAD_INPUTS = {
     "catalog-depth-1": ("catalog", "example-7-2", "--depth", "1"),
     "out-dir-missing": ("catalog", "odometer", "-o", "{missing}"),
     "bvd-not-utf8": ("diagnose", "{latin1}"),
+    "bvd-not-utf8-after-cr": ("diagnose", "{latin1_cr}"),
+    # a bare \r ends no line, so the header line runs on to the end of the file
+    "bvd-bare-cr": ("diagnose", "{bare_cr}"),
     "bvd-is-a-directory": ("diagnose", "{directory}"),
     "successor-bvd-missing": ("successor", "{missing}", "0"),
     "markers-word-too-short": ("markers", "--word", "1", "--rows", "5"),
@@ -147,6 +150,8 @@ BAD_INPUT_MESSAGES = {
     "huge-level-bvd": "error: out of memory\n",
     # the label on line 5 holds byte 0xff
     "bvd-not-utf8": "error: line 5: byte 0xff is not UTF-8\n",
+    # a \r in the label ends no line, for the parser as for the byte count
+    "bvd-not-utf8-after-cr": "error: line 5: byte 0xff is not UTF-8\n",
     "word-length-too-short":
         "error: word length 3 below the dependence bound 9 for level 2; increase --word-length\n",
     # checked against the top level before any level is enumerated
@@ -159,6 +164,7 @@ BAD_INPUT_MESSAGES = {
 def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     files = {"garbage": tmp_path / "garbage.bvd", "depth0": tmp_path / "depth0.bvd",
              "huge": tmp_path / "huge.bvd", "latin1": tmp_path / "latin1.bvd",
+             "latin1_cr": tmp_path / "latin1-cr.bvd", "bare_cr": tmp_path / "bare-cr.bvd",
              "directory": tmp_path,
              "odometer": odometer_file, "missing": tmp_path / "missing" / "out.bvd"}
     files["garbage"].write_text("hello world\n", encoding="utf-8")
@@ -169,6 +175,8 @@ def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     # a valid diagram but for its label's byte 0xff, which is not UTF-8
     files["latin1"].write_bytes(b'BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n'
                                 b'LABEL 1 0 "\xff"\nEDGE 1 0 0 0\n')
+    files["latin1_cr"].write_bytes(files["latin1"].read_bytes().replace(b'"\xff"', b'"a\rb\xff"'))
+    files["bare_cr"].write_bytes(serialize(odometer(3)).replace("\n", "\r").encode())
     res = run(*(a.format(**files) for a in BAD_INPUTS[name]))
     # a domain error: exit 1 and one line
     assert res.returncode == 1, res.stderr

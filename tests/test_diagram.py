@@ -3,6 +3,8 @@ import gc
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bratteli.catalog import binary_tree, example_7_2, odometer
 from bratteli.diagram import (BVDParseError, DiagramValidationError, Edge,
@@ -174,6 +176,18 @@ def test_deserialize_accepts_crlf_line_ends():
     assert deserialize(text.replace("\n", "\r\n")).structurally_equal(deserialize(text))
 
 
+@settings(max_examples=300)
+@given(st.lists(st.none() | st.text(), min_size=1, max_size=3))
+# a bare \r, then every other character that str.splitlines breaks at
+@example(["a\rb"])
+@example([None, "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", "\r\n\n\r"])
+def test_serialize_round_trips_any_label(texts):
+    # a chain of one vertex per level; None leaves its vertex unlabelled
+    d = OrderedBratteliDiagram([1] * len(texts), [Edge(k, 0, 0, 0) for k in range(1, len(texts))],
+                               {(k, 0): t for k, t in enumerate(texts) if t is not None})
+    assert deserialize(serialize(d)).structurally_equal(d)
+
+
 def test_serialize_reads_labels_once(monkeypatch):
     # the labels property copies the whole dict, so a read per label is quadratic
     d = OrderedBratteliDiagram([1, 2], [Edge(1, 0, 0, 0), Edge(1, 1, 0, 0)],
@@ -216,6 +230,15 @@ def test_deserialize_rejects_bad_header_and_records():
         deserialize("BVD 1\nDEPTH 0\nLEVEL 0 1\nBOGUS\n")
     with pytest.raises(BVDParseError, match="missing LEVEL 1"):
         deserialize("BVD 1\nDEPTH 1\nLEVEL 0 1\n")
+
+
+@pytest.mark.parametrize("text", ["BVD 1\nDEPTH 1\nLEVEL 0 1", "BVD 1\nDEPTH 1\nLEVEL 0 1\n",
+                                  "BVD 1\r\nDEPTH 1\r\nLEVEL 0 1\r\n"])
+def test_deserialize_reports_a_missing_record_at_the_last_line(text):
+    # the '\n' that ends the last line starts no line after it
+    with pytest.raises(BVDParseError) as err:
+        deserialize(text)
+    assert str(err.value) == "line 3: missing LEVEL 1"
 
 
 def test_deserialize_validates_structure():
