@@ -381,6 +381,27 @@ def test_build_diagram_bvd_digest(levels):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BVD_DIGESTS[levels]
 
 
+# level sizes and sha256 of `build_diagram(4, schedule)`'s BVD for wider
+# schedules, recorded while spans still held every row over the whole window
+WIDE_BVD_DIGESTS = {
+    (1, 2): ((1, 2, 11, 87, 123),
+             "a31bf2479d4a899927a003604454ea4569b444fbd7b15dc28bca7fd6472e9b36"),
+    (1, 3): ((1, 2, 11, 15, 252),
+             "297c464123d9cf8a8b34f4fa3189c63f10fbc1d310a70b05047f7f9a72daaafb"),
+    (1, 2, 3): ((1, 2, 11, 87, 1381),
+                "91ccbd91515b452fd7b6a1b4f2521bf26f58186e8f8090afe7c8f09145f5d582"),
+}
+
+
+@pytest.mark.parametrize("widths", sorted(WIDE_BVD_DIGESTS),
+                         ids=lambda w: "w" + "-".join(map(str, w)))
+def test_build_diagram_bvd_digest_wide_schedules(widths):
+    d = build_diagram(4, WidenSchedule(widths))
+    sizes, digest = WIDE_BVD_DIGESTS[widths]
+    assert d.level_sizes == sizes
+    assert hashlib.sha256(serialize(d).encode("utf-8")).hexdigest() == digest
+
+
 def test_build_diagram_builds_each_marker_table_once(monkeypatch):
     rows = []
     marker_rows = _kernels.marker_rows
