@@ -4,8 +4,10 @@ For every level it times the whole ``enumerate_level`` call (growing each
 core width's windows cell by cell, merging equal states, then one
 extraction per distinct span), best of ``--repeats``, and prints a table
 with the most states held at once (``peak states``, the largest over core
-widths), the distinct spans (``fingerprints``, i.e. the number of
-extractions) and the trapezoids.  The marker tables the growth reads are
+widths), the distinct spans (``spans``, the number of extractions; a span
+holds each row's marker bits over the range extraction reads) and the
+trapezoids.  The JSON records keep the key ``fingerprints`` for the spans,
+so older records still compare.  The marker tables the growth reads are
 built on a level's first repeat and shared by the later repeats and levels.
 ``--widths`` sets the widening schedule.  With ``--json FILE`` the
 table is also stored in FILE under the git revision of the imported
@@ -164,13 +166,13 @@ def main():
     args = parser.parse_args()
     schedule = WidenSchedule.parse(args.widths)
 
-    print(f"{'level':>5} {'level [s]':>10} {'peak states':>11} {'fingerprints':>12} {'vertices':>8}")
+    print(f"{'level':>5} {'level [s]':>10} {'peak states':>11} {'spans':>8} {'vertices':>8}")
     rows = []
     for level in range(1, args.levels + 1):
         row = measure(level, schedule, args.repeats)
         rows.append(row)
         print(f"{level:>5} {row['enumerate_level_s']:>10.3f} {row['peak_states']:>11} "
-              f"{row['fingerprints']:>12} {row['trapezoids']:>8}")
+              f"{row['fingerprints']:>8} {row['trapezoids']:>8}")
     build = {}
     if args.build is not None:
         build = {"build": build_once(args.build, schedule)}

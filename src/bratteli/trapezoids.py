@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -139,7 +140,7 @@ def _line_ints(fields: list[str], kind: str, line: str) -> list[int]:
 
 
 def trapezoid_from_text(text: str) -> Trapezoid:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("T "):
         raise ValueError("canonical trapezoid text must start with a T line")
     head = lines[0].split()
@@ -277,62 +278,61 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
     pad_left + core_width]``, as the rows :func:`_extract` reads, and the
     most states held at once.
 
-    A span is the cells over ``[a, b)`` and the row-1..k marker bits over
-    ``[a, b]``, ``a = pad_left - m``, ``b = pad_left + core_width + m``,
-    ``m = sum(widths_below(k))``: extraction reads nothing else, as each
-    widening by width w moves an edge to the next row-w marker, at most w
-    cells away.  A state is a partial window, kept as its span bits and its
-    last ``3k - 3`` cells.  Adding cell ``t`` both ways appends it to the
-    span if it is in ``[a, b)`` and decides each row r's bit at
-    ``p = t - 2r + 2`` from the last ``3r - 2`` cells; a bit over ``[a, b]``
-    joins the span, and a state whose row-k bits over the core are not 1 at
-    both ends and 0 inside is dropped.  A bit decided by a later cell ``t'``
+    A span is what extraction reads: row r's marker bits over ``reads[r] =
+    [pad_left - m_r, pad_left + core_width + m_r]``, ``m_r`` the sum of the
+    widths w >= r below k, and the cells under row 1's.  Widening by w moves
+    only rows 1..w, each end to the next row-w marker, at most w cells away,
+    so row r moves at most ``m_r`` cells and row k's range is the core.  A
+    state is a partial window, kept as its span bits and last ``3k - 3``
+    cells.  Adding cell ``t`` both ways decides cell t and each row r's bit
+    at ``t - 2r + 2`` from the last ``3r - 2`` cells; a bit in its row's
+    range joins the span, and a state whose row-k bits are not 1 at both
+    core ends and 0 inside is dropped.  A bit decided by a later cell ``t'``
     reads cells from ``t' - 3r + 3 > t - 3k + 3`` on, so states with equal
     span bits and last ``3k - 3`` cells have the same completions (one
     follower set of the sliding block code that marks the rows) and are
-    merged.  After cell ``b + 2k - 2`` decides the last bit, row k's at b,
-    the spans left are exactly those of the windows whose core is a block.
+    merged.  Once the last bit is decided, the spans left are exactly those
+    of the windows whose core is a block.
     """
     pad_left = dependence_bound(k, schedule)[0]
-    margin = sum(schedule.widths_below(k))
-    a, b = pad_left - margin, pad_left + core_width + margin
-    ends, last = (pad_left, pad_left + core_width), b + 2 * k - 2
-    n = b - a
-    n_bits = n + k * (n + 1)
-    spans = np.zeros((1, -(-n_bits // 8)), dtype=np.uint8)  # span bits, packed
+    reads = [range(pad_left - m, pad_left + core_width + m + 1) for m in (
+        sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1))]
+    reads.insert(0, reads[0][:-1])
+    starts = np.cumsum([0, *map(len, reads)]).tolist()  # each range's first bit column
+    last = max(rng[-1] + max(2 * r - 2, 0) for r, rng in enumerate(reads))  # decides the last bit
+    spans = np.zeros((1, -(-starts[-1] // 8)), dtype=np.uint8)  # span bits, packed
     cells = np.zeros(1, dtype=np.int64)
     peak = 1
     for t in range(last + 1):
         spans = np.concatenate([spans, spans])
         cells = np.concatenate([cells << 1, cells << 1 | 1])
         peak = max(peak, len(cells))
-        known = [(t - a, cells & 1)] if a <= t < b else []
-        keep = slice(None)
-        for r in range(1, k + 1):
-            p = t - 2 * r + 2
-            if a <= p <= b:
-                bit = _marker_table(r)[cells & (1 << 3 * r - 2) - 1]
-                known.append((n + (r - 1) * (n + 1) + p - a, bit))
-                if r == k and ends[0] <= p <= ends[1]:
-                    keep = bit if p in ends else ~bit
-        for col, bits in known:
-            spans[:, col >> 3] |= bits.astype(np.uint8) << np.uint8(7 - (col & 7))
-        spans, cells = spans[keep], cells[keep]
+        for r, rng in enumerate(reads):
+            p = t - max(2 * r - 2, 0)  # row r's bit that cell t decides (row 0: the cell)
+            if p in rng:
+                bit = _marker_table(r)[cells & (1 << 3 * r - 2) - 1] if r else cells & 1
+                col = starts[r] + p - rng.start
+                spans[:, col >> 3] |= bit.astype(np.uint8) << np.uint8(7 - (col & 7))
+                if r == k:  # the last row read, so every bit of cell t is set
+                    keep = bit if p in (rng[0], rng[-1]) else ~bit
+                    spans, cells = spans[keep], cells[keep]
         # after the last cell only the span bits tell states apart
         cells &= (1 << 3 * k - 3) - 1 if t < last else 0
         key = np.hstack([spans, cells.view(np.uint8).reshape(-1, 8)])
         first = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
                           return_index=True)[1]
         spans, cells = spans[first], cells[first]
-    return (_span_rows(span, a, n) for span in np.unpackbits(spans, axis=1, count=n_bits)), peak
+    spans = np.unpackbits(spans, axis=1, count=starts[-1])
+    return (_span_rows(span, reads, starts) for span in spans), peak
 
 
-def _span_rows(span: np.ndarray, a: int, n: int) -> tuple[TrapezoidRow, ...]:
-    """The rows of a span from ``a``: its ``n`` cells, then each row's ``n + 1`` marker bits."""
-    span = span.tolist()
-    symbols = "".join(map(str, span[:n]))
-    return tuple(TrapezoidRow(a, symbols, frozenset(
-        p for p, bit in enumerate(span[j:j + n + 1], a) if bit)) for j in range(n, len(span), n + 1))
+def _span_rows(span: np.ndarray, reads: list[range], starts: list[int]) -> tuple[TrapezoidRow, ...]:
+    """The rows of a span: row r at ``reads[r].start``, with the cells under
+    its range and the bits from column ``starts[r]`` as its markers."""
+    span, a = span.tolist(), reads[0].start
+    cells = "".join(map(str, span[:len(reads[0])]))
+    return tuple(TrapezoidRow(rng.start, cells[rng.start - a:rng.stop - 1 - a], frozenset(
+        compress(rng, span[starts[r]:starts[r + 1]]))) for r, rng in enumerate(reads) if r)
 
 
 def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple[Trapezoid, ...]:

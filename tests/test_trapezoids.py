@@ -187,17 +187,19 @@ ORACLE_CASES = sorted(COMPLETENESS_CASES) + [((1,), 4)]
 def test_grown_spans_equal_the_window_scan(widths, k):
     """The spans grown cell by cell are exactly the spans of the windows of
     the reference scan, marked through the public path, and each span
-    extracts the trapezoid of its windows."""
+    extracts the trapezoid of its windows.  Row r of a reference span holds
+    the cells and markers over ``[pad_left - m_r, pad_left + cw + m_r]``,
+    ``m_r`` the sum of the widths w >= r below k."""
     schedule = WidenSchedule(widths)
     pad_left, pad_right, min_len = dependence_bound(k, schedule)
-    margin = sum(schedule.widths_below(k))
+    margins = [sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1)]
     scanned = {}
     for key in _kernels.enumerate_block_window_keys(min_len, k, pad_left, pad_right).tolist():
         cw, window = _kernels.decode_key(key, pad_left, pad_right)
         mw = mark_all_rows(window, k)
-        a, b = pad_left - margin, pad_left + cw + margin
-        rows = tuple(TrapezoidRow(a, window[a:b], frozenset(
-            p for p in mw.row(r).positions if a <= p <= b)) for r in range(1, k + 1))
+        rows = tuple(TrapezoidRow(pad_left - m, window[pad_left - m:pad_left + cw + m], frozenset(
+            p for p in mw.row(r).positions if pad_left - m <= p <= pad_left + cw + m))
+            for r, m in enumerate(margins, start=1))
         t = trapezoid_at(mw, (pad_left, pad_left + cw), k, schedule)
         assert scanned.setdefault((cw, rows), t) == t, window
     grown = {(cw, rows) for cw in range(1, k + 1) for rows in _grow_spans(k, cw, schedule)[0]}
@@ -205,6 +207,14 @@ def test_grown_spans_equal_the_window_scan(widths, k):
     for (cw, rows), t in scanned.items():
         assert _extract(rows, pad_left, pad_left + cw, k, schedule) == t
     assert set(enumerate_level(k, schedule)) == set(scanned.values())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_spans_at_width_one_are_the_trapezoids(k):
+    """A span holds only the bits extraction reads, so at widths (1,) no
+    two spans give the same trapezoid."""
+    spans = sum(len(list(_grow_spans(k, cw, W1)[0])) for cw in range(1, k + 1))
+    assert spans == len(enumerate_level(k, W1))
 
 
 def test_enumerate_level_word_length_bound():
@@ -313,6 +323,18 @@ def test_trapezoid_from_text_names_the_line_of_a_non_integer(text, message):
         trapezoid_from_text(text)
     assert str(err.value) == message
     assert trapezoid_from_text("T 1 1\nR 1 0 0 M 0,1").core_width == 1
+
+
+def test_trapezoid_from_text_breaks_lines_at_newline_alone():
+    # canonical_text joins rows with "\n" and nothing else ends a label line;
+    # the strip of each field still takes the "\r" of a CRLF label
+    label = "T 2 1\nR 1 -1 011 M -1,0,1,2\nR 2 0 1 M 0,1"
+    assert label in {canonical_text(t) for t in enumerate_level(2, W1)}
+    assert canonical_text(trapezoid_from_text(label.replace("\n", "\r\n"))) == label
+    joined = label.replace("\n", "\x0c")
+    with pytest.raises(ValueError) as err:
+        trapezoid_from_text(joined)
+    assert str(err.value) == f"malformed T line {joined!r}"
 
 
 def test_trapezoid_invariant_enforcement():
