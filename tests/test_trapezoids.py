@@ -327,7 +327,7 @@ def test_trapezoid_from_text_names_the_line_of_a_non_integer(text, message):
 
 def test_trapezoid_from_text_breaks_lines_at_newline_alone():
     # canonical_text joins rows with "\n" and nothing else ends a label line;
-    # the strip of each field still takes the "\r" of a CRLF label
+    # splitting a line into fields still drops the "\r" of a CRLF label
     label = "T 2 1\nR 1 -1 011 M -1,0,1,2\nR 2 0 1 M 0,1"
     assert label in {canonical_text(t) for t in enumerate_level(2, W1)}
     assert canonical_text(trapezoid_from_text(label.replace("\n", "\r\n"))) == label
