@@ -385,7 +385,7 @@ def test_build_diagram_structure(fullshift3):
 # sha256 of the serialized diagram as `build-fullshift -k K -o` writes it;
 # levels 1-5 recorded with one extraction per window, level 6 by window
 # fingerprints and by span growth alike, level 7 by span growth and by
-# fingerprints of the grown keys
+# fingerprints of the grown keys, level 8 by span growth
 BVD_DIGESTS = {
     1: "b07405e0952af80c84e15cdd50ea3f0f19d8c120102acdd3a33ab469cbe334f9",
     2: "6c56b810fb6c3fe7ced983ffb1dde9bcc4e7ac29e113975e59ca1b6ff97f3a4d",
@@ -394,6 +394,7 @@ BVD_DIGESTS = {
     5: "ceac169be6c8623c965400cd49f44940e7510c1d6892d6b29025d7f9c5321192",
     6: "3a6f5846e0c066a9a4b00d6c0507b3a4c3941b975449b5fc8ab1f769da738db8",
     7: "f21d9dc05b711fdf13cad829c74860d2a0d44288ee7ff8431faba1a9a42b4f18",
+    8: "ff2685a7a8d9db0879b34b223ab64cc94c8845fd61c53ecf48c6045c48eb6b8a",
 }
 
 
