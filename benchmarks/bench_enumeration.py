@@ -6,7 +6,9 @@ extraction per distinct span), best of ``--repeats``, and prints a table
 with the most states held at once (``peak states``, the largest over core
 widths), the distinct spans (``spans``, the number of extractions; a span
 holds each row's marker bits over the range extraction reads) and the
-trapezoids.  The JSON records keep the key ``fingerprints`` for the spans,
+trapezoids.  Spans and peak states are counted in the timed calls, through
+a wrapper around ``trapezoids._grow_spans``, so no level grows twice in a
+repeat.  The JSON records keep the key ``fingerprints`` for the spans,
 so older records still compare.  The marker tables the growth reads are
 built on a level's first repeat and shared by the later repeats and levels.
 ``--widths`` sets the widening schedule.  With ``--json FILE`` the
@@ -37,13 +39,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 import bratteli
-from bratteli.trapezoids import WidenSchedule, _grow_spans, enumerate_level
+from bratteli import trapezoids
+from bratteli.trapezoids import WidenSchedule, enumerate_level
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from test_trapezoids import BVD_DIGESTS  # noqa: E402  (the pinned widths-1 digests)
@@ -58,12 +62,33 @@ def best_of(repeats, fn):
     return best, result
 
 
+@contextmanager
+def counted_growth(grown):
+    """Append the span count and peak states of every ``_grow_spans`` call
+    that ``enumerate_level`` makes while the block runs to ``grown``."""
+    grow = trapezoids._grow_spans
+
+    def counted(*args):
+        spans, peak = grow(*args)
+        spans = list(spans)
+        grown.append((len(spans), peak))
+        return spans, peak
+
+    trapezoids._grow_spans = counted
+    try:
+        yield
+    finally:
+        trapezoids._grow_spans = grow
+
+
 def measure(level, schedule, repeats):
-    level_s, traps = best_of(repeats, lambda: enumerate_level(level, schedule))
-    grown = [_grow_spans(level, cw, schedule) for cw in range(1, level + 1)]
+    grown = []
+    with counted_growth(grown):
+        level_s, traps = best_of(repeats, lambda: enumerate_level(level, schedule))
+    last_run = grown[-level:]  # one call per core width
     return {"level": level, "enumerate_level_s": round(level_s, 4),
-            "peak_states": max(peak for _, peak in grown),
-            "fingerprints": sum(len(list(spans)) for spans, _ in grown),
+            "peak_states": max(peak for _, peak in last_run),
+            "fingerprints": sum(spans for spans, _ in last_run),
             "trapezoids": len(traps)}
 
 

@@ -254,7 +254,9 @@ def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple
 
     ``pad_left``/``pad_right`` are the cells needed around a core so that
     the whole trapezoid, including every marker determination it reads, is
-    a function of that window alone.
+    a function of that window alone.  It is an outer bound, for the CLI's
+    ``--word-length`` check: :func:`enumerate_level` grows spans over the
+    cells extraction reads, a narrower window.
     """
     margin = sum(schedule.widths_below(k))
     pad_left = margin + k - 1
@@ -274,36 +276,38 @@ def _marker_table(r: int) -> np.ndarray:
 
 def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
                 ) -> tuple[Iterator[tuple[TrapezoidRow, ...]], int]:
-    """The distinct spans of the level-k blocks with core ``[pad_left,
-    pad_left + core_width]``, as the rows :func:`_extract` reads, and the
-    most states held at once.
+    """The distinct spans of the level-k blocks with core ``[0, core_width]``,
+    as the rows :func:`_extract` reads, and the most states held at once.
 
     A span is what extraction reads: row r's marker bits over ``reads[r] =
-    [pad_left - m_r, pad_left + core_width + m_r]``, ``m_r`` the sum of the
-    widths w >= r below k, and the cells under row 1's.  Widening by w moves
-    only rows 1..w, each end to the next row-w marker, at most w cells away,
-    so row r moves at most ``m_r`` cells and row k's range is the core.  A
-    state is a partial window, kept as its span bits and last ``3k - 3``
-    cells.  Adding cell ``t`` both ways decides cell t and each row r's bit
-    at ``t - 2r + 2`` from the last ``3r - 2`` cells; a bit in its row's
-    range joins the span, and a state whose row-k bits are not 1 at both
-    core ends and 0 inside is dropped.  A bit decided by a later cell ``t'``
-    reads cells from ``t' - 3r + 3 > t - 3k + 3`` on, so states with equal
-    span bits and last ``3k - 3`` cells have the same completions (one
-    follower set of the sliding block code that marks the rows) and are
-    merged.  Once the last bit is decided, the spans left are exactly those
-    of the windows whose core is a block.
+    [-m_r, core_width + m_r]``, ``m_r`` the sum of the widths w >= r below
+    k, and the cells under row 1's.  Widening by w moves only rows 1..w,
+    each end to the next row-w marker, at most w cells away, so row r moves
+    at most ``m_r`` cells and row k's range is the core.  Row r's bit at p
+    is decided by cells ``p - r + 1 .. p + 2r - 2``, so the span is a
+    function of the cells from ``first``, read by the first bit of some
+    row, to ``last``, which decides the last bit, and growth runs over
+    those cells alone.  A state is a partial window, kept as its span bits
+    and last ``3k - 3`` cells.  Adding cell ``t`` both ways decides cell t
+    and each row r's bit at ``t - 2r + 2`` from the last ``3r - 2`` cells;
+    a bit in its row's range joins the span, and a state whose row-k bits
+    are not 1 at both core ends and 0 inside is dropped.  A bit decided by
+    a later cell ``t'`` reads cells from ``t' - 3r + 3 > t - 3k + 3`` on, so
+    states with equal span bits and last ``3k - 3`` cells have the same
+    completions (one follower set of the sliding block code that marks the
+    rows) and are merged.  Once the last bit is decided, the spans left are
+    exactly those of the blocks of all words.
     """
-    pad_left = dependence_bound(k, schedule)[0]
-    reads = [range(pad_left - m, pad_left + core_width + m + 1) for m in (
+    reads = [range(-m, core_width + m + 1) for m in (
         sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1))]
     reads.insert(0, reads[0][:-1])
     starts = np.cumsum([0, *map(len, reads)]).tolist()  # each range's first bit column
+    first = min(rng.start - max(r - 1, 0) for r, rng in enumerate(reads))  # read by the first bit
     last = max(rng[-1] + max(2 * r - 2, 0) for r, rng in enumerate(reads))  # decides the last bit
     spans = np.zeros((1, -(-starts[-1] // 8)), dtype=np.uint8)  # span bits, packed
     cells = np.zeros(1, dtype=np.int64)
     peak = 1
-    for t in range(last + 1):
+    for t in range(first, last + 1):
         spans = np.concatenate([spans, spans])
         cells = np.concatenate([cells << 1, cells << 1 | 1])
         peak = max(peak, len(cells))
@@ -319,9 +323,9 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
         # after the last cell only the span bits tell states apart
         cells &= (1 << 3 * k - 3) - 1 if t < last else 0
         key = np.hstack([spans, cells.view(np.uint8).reshape(-1, 8)])
-        first = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
-                          return_index=True)[1]
-        spans, cells = spans[first], cells[first]
+        distinct = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                             return_index=True)[1]
+        spans, cells = spans[distinct], cells[distinct]
     spans = np.unpackbits(spans, axis=1, count=starts[-1])
     return (_span_rows(span, reads, starts) for span in spans), peak
 
@@ -339,19 +343,18 @@ def enumerate_level(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple[
     """All level-k trapezoids occurring in the binary full shift, a set
     fixed by k and the schedule alone.
 
-    Any trapezoid is a function of the window of cells that
-    :func:`dependence_bound` pads its core to, so extracting one trapezoid
-    from every window pattern whose core is a k-block is complete.  Core
-    widths stop at k because determined row-k markers are at most k apart:
-    the argmax of any k-window of block starts is a marker.  One trapezoid
-    is extracted per distinct :func:`_grow_spans` span, from its rows alone,
-    so a read outside them raises.  Result is sorted by canonical
-    serialization, which fixes vertex index assignment.
+    Any trapezoid is a function of its span, the rows extraction reads
+    around its core, so extracting one trapezoid per span of a k-block is
+    complete.  Core widths stop at k because determined row-k markers are
+    at most k apart: the argmax of any k-window of block starts is a
+    marker.  Each distinct :func:`_grow_spans` span is extracted at the
+    core ``[0, cw]``, from its rows alone, so a read outside them raises.
+    Result is sorted by canonical serialization, which fixes vertex index
+    assignment.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
-    pad_left = dependence_bound(k, schedule)[0]
-    found = {_extract(rows, pad_left, pad_left + cw, k, schedule)
+    found = {_extract(rows, 0, cw, k, schedule)
              for cw in range(1, k + 1) for rows in _grow_spans(k, cw, schedule)[0]}
     return tuple(sorted(found, key=canonical_text))
 

@@ -188,8 +188,8 @@ def test_grown_spans_equal_the_window_scan(widths, k):
     """The spans grown cell by cell are exactly the spans of the windows of
     the reference scan, marked through the public path, and each span
     extracts the trapezoid of its windows.  Row r of a reference span holds
-    the cells and markers over ``[pad_left - m_r, pad_left + cw + m_r]``,
-    ``m_r`` the sum of the widths w >= r below k."""
+    the cells and markers over ``[-m_r, cw + m_r]`` around the core ``[0,
+    cw]``, ``m_r`` the sum of the widths w >= r below k."""
     schedule = WidenSchedule(widths)
     pad_left, pad_right, min_len = dependence_bound(k, schedule)
     margins = [sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1)]
@@ -197,15 +197,15 @@ def test_grown_spans_equal_the_window_scan(widths, k):
     for key in _kernels.enumerate_block_window_keys(min_len, k, pad_left, pad_right).tolist():
         cw, window = _kernels.decode_key(key, pad_left, pad_right)
         mw = mark_all_rows(window, k)
-        rows = tuple(TrapezoidRow(pad_left - m, window[pad_left - m:pad_left + cw + m], frozenset(
-            p for p in mw.row(r).positions if pad_left - m <= p <= pad_left + cw + m))
+        rows = tuple(TrapezoidRow(-m, window[pad_left - m:pad_left + cw + m], frozenset(
+            p - pad_left for p in mw.row(r).positions if -m <= p - pad_left <= cw + m))
             for r, m in enumerate(margins, start=1))
         t = trapezoid_at(mw, (pad_left, pad_left + cw), k, schedule)
         assert scanned.setdefault((cw, rows), t) == t, window
     grown = {(cw, rows) for cw in range(1, k + 1) for rows in _grow_spans(k, cw, schedule)[0]}
     assert grown == set(scanned)
     for (cw, rows), t in scanned.items():
-        assert _extract(rows, pad_left, pad_left + cw, k, schedule) == t
+        assert _extract(rows, 0, cw, k, schedule) == t
     assert set(enumerate_level(k, schedule)) == set(scanned.values())
 
 
@@ -231,7 +231,8 @@ def test_enumerate_level_word_length_bound():
     assert exact.returncode == 0, exact.stderr  # exactly at the bound is fine
 
 
-GUARD_CASES = [((1,), k) for k in range(1, 6)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
+GUARD_CASES = ([((1,), k) for k in range(1, 6)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
+               + [((1, 2, 3), 4)])
 
 
 @functools.cache
@@ -244,13 +245,18 @@ def level_set(widths, k):
 def test_every_block_of_a_long_word_is_enumerated(data):
     """Completeness of ``enumerate_level`` checked without window enumeration:
     every block of a long random word gives a trapezoid of the level set, and
-    the same one as its padded window alone."""
+    the same one as its padded window alone, and as the cells from ``first``
+    to ``last`` around its core alone: the first cell a span bit reads and
+    the cell that decides the last one, with row r read over ``[-m_r, cw +
+    m_r]`` and its bit at p decided by cells ``p - r + 1 .. p + 2r - 2``."""
     widths, k = data.draw(st.sampled_from(GUARD_CASES))
     schedule = WidenSchedule(widths)
     pad_left, pad_right, min_len = dependence_bound(k, schedule)
+    margins = [sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1)]
+    first = min(-m - r + 1 for r, m in enumerate(margins, start=1))
     word = data.draw(st.text(alphabet="01", min_size=min_len + 20, max_size=min_len + 60))
     mw = mark_all_rows(word, k)
-    padded = 0
+    padded = cut = 0
     for s, e in k_blocks(mw, k):
         fits = pad_left <= s and e + pad_right < len(word)
         try:
@@ -264,7 +270,13 @@ def test_every_block_of_a_long_word_is_enumerated(data):
             assert trapezoid_at(mark_all_rows(window, k), (pad_left, pad_left + e - s),
                                 k, schedule) == t, (word, s, e)
             padded += 1
-    assert padded > 0
+        last = e + max(m + 2 * r - 2 for r, m in enumerate(margins, start=1))
+        if 0 <= s + first and last < len(word):
+            window = word[s + first:last + 1]
+            assert trapezoid_at(mark_all_rows(window, k), (-first, e - s - first),
+                                k, schedule) == t, (word, s, e)
+            cut += 1
+    assert padded > 0 and cut >= padded
 
 
 def test_decompose_published_fixtures():
