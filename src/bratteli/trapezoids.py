@@ -296,13 +296,13 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
     states with equal span bits and last ``3k - 3`` cells have the same
     completions (one follower set of the sliding block code that marks the
     rows) and are merged.  Once the last bit is decided, the spans left are
-    exactly those of the blocks of all words.
+    exactly those of the core-width blocks of all words.
     """
     reads = [range(-m, core_width + m + 1) for m in (
         sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1))]
     reads.insert(0, reads[0][:-1])
     starts = np.cumsum([0, *map(len, reads)]).tolist()  # each range's first bit column
-    first = min(rng.start - max(r - 1, 0) for r, rng in enumerate(reads))  # read by the first bit
+    first = min(rng.start - max(r - 1, 0) for r, rng in enumerate(reads))  # the first cell read
     last = max(rng[-1] + max(2 * r - 2, 0) for r, rng in enumerate(reads))  # decides the last bit
     spans = np.zeros((1, -(-starts[-1] // 8)), dtype=np.uint8)  # span bits, packed
     cells = np.zeros(1, dtype=np.int64)
