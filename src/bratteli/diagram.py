@@ -59,12 +59,10 @@ _TARGET = itemgetter(3)
 
 
 def _runs(edges: tuple[Edge, ...], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
-    """Cut ``edges``, sorted by ``key``, into the run of each key value
-    0..n-1; an edge whose key lies outside that range is in no run."""
+    """Cut ``edges``, sorted by ``key``, into the run of each key value 0..n-1."""
     runs: list[tuple[Edge, ...]] = [()] * n
     for v, run in groupby(edges, key=key):
-        if 0 <= v < n:
-            runs[v] = tuple(run)
+        runs[v] = tuple(run)
     return runs
 
 
@@ -73,9 +71,11 @@ class OrderedBratteliDiagram:
 
     ``level_sizes`` gives ``|V_0|, ..., |V_K|``; ``edges`` is any iterable of
     :class:`Edge`; ``labels`` optionally attaches an opaque string payload to
-    ``(level, vertex)`` pairs.  The constructor normalizes edge storage
-    (sorted by ``(source, order)`` within each level) but does not enforce
-    the structural axioms; use :meth:`validate`.
+    ``(level, vertex)`` pairs.  The constructor sorts each level's edges by
+    ``(source, order)`` and raises ``ValueError`` for what its fan tables
+    cannot hold: a negative level size, an edge level outside 1..K, an edge
+    end outside its level, or a label off the diagram or not a ``str``.  The
+    Bratteli axioms are left to :meth:`validate`.
     """
 
     def __init__(
@@ -87,6 +87,9 @@ class OrderedBratteliDiagram:
         self._sizes = tuple(int(n) for n in level_sizes)
         if not self._sizes:
             raise ValueError("a diagram needs at least the root level")
+        for k, n in enumerate(self._sizes):
+            if n < 0:
+                raise ValueError(f"level {k} has negative size {n}")
         per_level: dict[int, list[Edge]] = {k: [] for k in range(1, len(self._sizes))}
         for e in edges:
             if e.level not in per_level:
@@ -96,15 +99,26 @@ class OrderedBratteliDiagram:
         self._edges = tuple(tuple(sorted(sorted(per_level[k], key=_ORDER), key=_SOURCE))
                             for k in range(1, len(self._sizes)))
         self._labels = dict(labels or {})
+        for (k, v), text in self._labels.items():
+            if not (0 <= k < len(self._sizes) and 0 <= v < self._sizes[k]):
+                raise ValueError(f"label on nonexistent vertex {v} of V_{k}")
+            if not isinstance(text, str):
+                raise ValueError(f"label of vertex {v} of V_{k} is not a str: {text!r}")
         # fan tables: _out[k - 1][v] holds the E_k edges sourced at v in V_k,
-        # _in[k - 1][u] those targeting u in V_{k-1}; an edge whose source
-        # (target) lies outside its level is left out of _out (_in)
+        # _in[k - 1][u] those targeting u in V_{k-1}
         self._out: list[list[tuple[Edge, ...]]] = []
         self._in: list[list[tuple[Edge, ...]]] = []
         for k, level_edges in enumerate(self._edges, start=1):
-            self._out.append(_runs(level_edges, _SOURCE, self._sizes[k]))
             # stable, so each in-fan keeps the (source, order) order
             by_target = tuple(sorted(level_edges, key=_TARGET))
+            for ends, key, j, verb in ((level_edges, _SOURCE, k, "sources"),
+                                       (by_target, _TARGET, k - 1, "targets")):
+                # sorted by key, so the ends hold the least and greatest vertex
+                for e in ends[:1] + ends[-1:]:
+                    if not 0 <= key(e) < self._sizes[j]:
+                        raise ValueError(
+                            f"E_{k} edge {e} {verb} nonexistent vertex {key(e)} of V_{j}")
+            self._out.append(_runs(level_edges, _SOURCE, self._sizes[k]))
             self._in.append(_runs(by_target, _TARGET, self._sizes[k - 1]))
         # Vershik move caches, filled by vershik._step: _moves[0] for the
         # successor, _moves[-1] for the predecessor
@@ -166,36 +180,16 @@ class OrderedBratteliDiagram:
         return dict(self._labels)
 
     def validate(self) -> list[Violation]:
-        """Check every structural axiom; returns one entry per violation."""
+        """Check the Bratteli axioms, which the constructor leaves open: one
+        entry per ``root-not-singleton``, ``uncovered-target``,
+        ``uncovered-source`` or ``order-not-permutation`` violation."""
         out: list[Violation] = []
         if self._sizes[0] != 1:
             out.append(Violation("root-not-singleton",
                                  f"level 0 has {self._sizes[0]} vertices, expected 1", level=0))
-        for k, n in enumerate(self._sizes):
-            if n < 0:
-                out.append(Violation("negative-level-size",
-                                     f"level {k} has negative size {n}", level=k))
         for k in range(1, self.depth + 1):
-            n_src, n_tgt = self._sizes[k], self._sizes[k - 1]
-            level_edges = self._edges[k - 1]
-            fans, ins = self._out[k - 1], self._in[k - 1]
-            if (sum(map(len, fans)) < len(level_edges)
-                    or sum(map(len, ins)) < len(level_edges)):
-                # the fan tables leave out an edge whose source (target) lies
-                # outside its level; report those edges, and count only edges
-                # with both ends in range as covering a vertex
-                for e in level_edges:
-                    if not 0 <= e.source < n_src:
-                        out.append(Violation("edge-source-out-of-range",
-                                             f"E_{k} edge {e} sources nonexistent vertex {e.source}",
-                                             level=k, vertex=e.source))
-                    elif not 0 <= e.target < n_tgt:
-                        out.append(Violation("edge-target-out-of-range",
-                                             f"E_{k} edge {e} targets nonexistent vertex {e.target}",
-                                             level=k, vertex=e.target))
-                fans = [tuple(e for e in fan if 0 <= e.target < n_tgt) for fan in fans]
-                ins = [[e for e in fan if 0 <= e.source < n_src] for fan in ins]
-            for u, fan in enumerate(ins):
+            fans = self._out[k - 1]
+            for u, fan in enumerate(self._in[k - 1]):
                 if not fan:
                     out.append(Violation("uncovered-target",
                                          f"vertex {u} of V_{k - 1} is the target of no E_{k} edge",

@@ -320,6 +320,9 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
                 if r == k:  # the last row read, so every bit of cell t is set
                     keep = bit if p in (rng[0], rng[-1]) else ~bit
                     spans, cells = spans[keep], cells[keep]
+        # each state still holds all its t - first + 1 cells, so none merge
+        if t - first < 3 * k - 3:
+            continue
         # after the last cell only the span bits tell states apart
         cells &= (1 << 3 * k - 3) - 1 if t < last else 0
         key = np.hstack([spans, cells.view(np.uint8).reshape(-1, 8)])

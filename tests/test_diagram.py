@@ -45,37 +45,39 @@ def test_validate_coverage():
     assert codes == ["uncovered-target"]
 
 
-def test_validate_out_of_range_edges():
-    d = OrderedBratteliDiagram([1, 1], [Edge(1, 0, 0, 0), Edge(1, 5, 0, 0)])
-    codes = [v.code for v in d.validate()]
-    assert "edge-source-out-of-range" in codes
-
-
 E = Edge
 
 
+@pytest.mark.parametrize("sizes,edges,labels,message", [
+    ([1, 1, -2], [E(1, 0, 0, 0)], None, "level 2 has negative size -2"),
+    # source 5 of V_1 does not exist
+    ([1, 1], [E(1, 0, 0, 0), E(1, 5, 0, 0)], None,
+     "E_1 edge Edge(level=1, source=5, order=0, target=0) sources nonexistent vertex 5 of V_1"),
+    # target 3 of V_0 does not exist
+    ([1, 1], [E(1, 0, 0, 0), E(1, 0, 1, 3)], None,
+     "E_1 edge Edge(level=1, source=0, order=1, target=3) targets nonexistent vertex 3 of V_0"),
+    # negative vertices must not wrap around to the last vertex of a level
+    ([1, 2], [E(1, -1, 0, 0), E(1, 0, 0, 0), E(1, 0, 1, -1)], None,
+     "E_1 edge Edge(level=1, source=-1, order=0, target=0) sources nonexistent vertex -1 of V_1"),
+    ([1, 2], [E(1, 0, 0, 0), E(1, 1, 0, 0), E(1, 0, 1, -1)], None,
+     "E_1 edge Edge(level=1, source=0, order=1, target=-1) targets nonexistent vertex -1 of V_0"),
+    ([1, 1], [E(1, 0, 0, 0)], {(1, 3): "y"}, "label on nonexistent vertex 3 of V_1"),
+    ([1, 1], [E(1, 0, 0, 0)], {(1, -1): "y"}, "label on nonexistent vertex -1 of V_1"),
+    ([1, 1], [E(1, 0, 0, 0)], {(2, 0): "y"}, "label on nonexistent vertex 0 of V_2"),
+    ([1, 1], [E(1, 0, 0, 0)], {(1, 0): b"y"}, "label of vertex 0 of V_1 is not a str: b'y'"),
+])
+def test_constructor_rejects_what_its_tables_cannot_hold(sizes, edges, labels, message):
+    with pytest.raises(ValueError) as err:
+        OrderedBratteliDiagram(sizes, edges, labels)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("sizes,edges,codes,fans_from,fans_to", [
-    # source 5 of V_1 does not exist: left out of the fans, kept in edges_to
-    ([1, 1], [E(1, 0, 0, 0), E(1, 5, 0, 0)],
-     [("edge-source-out-of-range", 1, 5)],
-     [[(E(1, 0, 0, 0),)]],
-     [[(E(1, 0, 0, 0), E(1, 5, 0, 0))]]),
     # vertex 1 of V_1 sources nothing
     ([1, 2], [E(1, 0, 0, 0)],
      [("uncovered-source", 1, 1)],
      [[(E(1, 0, 0, 0),), ()]],
      [[(E(1, 0, 0, 0),)]]),
-    # target 3 of V_0 does not exist: kept in the fan, left out of edges_to
-    ([1, 1], [E(1, 0, 0, 0), E(1, 0, 1, 3)],
-     [("edge-target-out-of-range", 1, 3)],
-     [[(E(1, 0, 0, 0), E(1, 0, 1, 3))]],
-     [[(E(1, 0, 0, 0),)]]),
-    # negative vertices must not wrap around to the last vertex of a level
-    ([1, 2], [E(1, -1, 0, 0), E(1, 0, 0, 0), E(1, 0, 1, -1)],
-     [("edge-source-out-of-range", 1, -1), ("edge-target-out-of-range", 1, -1),
-      ("uncovered-source", 1, 1)],
-     [[(E(1, 0, 0, 0), E(1, 0, 1, -1)), ()]],
-     [[(E(1, -1, 0, 0), E(1, 0, 0, 0))]]),
     # vertex 1 of V_1 is the target of no E_2 edge
     ([1, 2, 1], [E(1, 0, 0, 0), E(1, 1, 0, 0), E(2, 0, 0, 0)],
      [("uncovered-target", 1, 1)],

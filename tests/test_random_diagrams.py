@@ -1,9 +1,13 @@
 """Successor laws and serialization on randomly generated valid diagrams."""
 
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bratteli.catalog import CONSTRUCTORS
 from bratteli.diagram import (Edge, OrderedBratteliDiagram, PathPrefix,
                               deserialize, serialize)
 from bratteli.vershik import (extension_count, image_diameter_profile,
@@ -140,3 +144,61 @@ def test_random_is_isolated_matches_extension_count():
             assert isolated[-1] == (extension_count(d, p) == 1), (seed, str(p))
     # both single-path and branching cylinders occur above full depth
     assert any(isolated) and not all(isolated)
+
+
+def assert_fans_partition(d: OrderedBratteliDiagram) -> None:
+    """``edges_from`` and ``edges_to`` each cut every E_k into one fan per
+    vertex, of the edges with that source (target), each edge exactly once."""
+    for k in range(1, d.depth + 1):
+        out = [d.edges_from(k, v) for v in range(d.level_size(k))]
+        into = [d.edges_to(k, u) for u in range(d.level_size(k - 1))]
+        assert all(e.source == v for v, fan in enumerate(out) for e in fan)
+        assert all(e.target == u for u, fan in enumerate(into) for e in fan)
+        for fans in (out, into):
+            assert sorted(chain.from_iterable(fans)) == sorted(d.edges_at(k))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_diagram_fans_partition_each_level(seed):
+    rng = random.Random(seed)
+    d = random_diagram(rng, depth=rng.randint(2, 4))
+    assert_fans_partition(d)
+    # extra edges with both ends in range, which may repeat an edge or an
+    # order, break the axioms but not the fan tables
+    extra = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(1, d.depth)
+        extra.append(Edge(k, rng.randrange(d.level_size(k)), rng.randrange(4),
+                          rng.randrange(d.level_size(k - 1))))
+    edges = [e for k in range(1, d.depth + 1) for e in d.edges_at(k)]
+    assert_fans_partition(OrderedBratteliDiagram(d.level_sizes, edges + extra))
+
+
+@pytest.mark.parametrize("name,make", sorted(CONSTRUCTORS.items()))
+def test_catalog_fans_partition_each_level(name, make):
+    assert_fans_partition(make(6))
+
+
+def test_built_fans_partition_each_level(fullshift3):
+    assert_fans_partition(fullshift3)
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5),
+                          st.text(max_size=3) | st.none()), max_size=4))
+def test_labelled_random_diagrams_round_trip_or_are_refused(rng, triples):
+    # labels on random (level, vertex) pairs, some off the diagram, and
+    # None as a payload that is not a str
+    d = random_diagram(rng, depth=rng.randint(1, 3))
+    labels = {(k, v): text for k, v, text in triples}
+    edges = [e for k in range(1, d.depth + 1) for e in d.edges_at(k)]
+    refused = any(not (0 <= k <= d.depth and 0 <= v < d.level_size(k)) or text is None
+                  for (k, v), text in labels.items())
+    try:
+        labelled = OrderedBratteliDiagram(d.level_sizes, edges, labels)
+    except ValueError:
+        assert refused
+        return
+    assert not refused
+    assert deserialize(serialize(labelled)).structurally_equal(labelled)
