@@ -1,4 +1,4 @@
-"""Successor laws and serialization on randomly generated valid diagrams."""
+"""Successor laws, fan tables and serialization on randomly generated diagrams."""
 
 import random
 from itertools import chain
