@@ -22,8 +22,8 @@ RSS of each (``ru_maxrss`` from ``os.wait4`` in a small launcher process),
 least of ``--repeats``.
 
 With ``--json FILE`` the table is also stored in FILE under the git revision
-of the imported ``bratteli`` source (``-dirty`` when its working tree has
-changes), replacing an earlier record for the same revision.
+of the imported ``bratteli`` source (``-dirty`` when that source differs
+from ``HEAD``), replacing an earlier record for the same revision.
 
     python benchmarks/bench_dynamics.py --repeats 5 --json BENCH_dynamics.json
 """

@@ -13,7 +13,7 @@ so older records still compare.  The marker tables the growth reads are
 built on a level's first repeat and shared by the later repeats and levels.
 ``--widths`` sets the widening schedule.  With ``--json FILE`` the
 table is also stored in FILE under the git revision of the imported
-``bratteli`` source (``-dirty`` when its working tree has changes), with
+``bratteli`` source (``-dirty`` when that source differs from ``HEAD``), with
 `` widths=...`` appended for a schedule other than ``1``, replacing an
 earlier record under the same name.
 
@@ -21,7 +21,8 @@ With ``--build K`` it also runs ``bratteli build-fullshift -k K`` once in a
 child process and records its wall time, its peak RSS (``ru_maxrss`` from
 ``os.wait4`` in a small launcher process), its level sizes and the sha256
 of the BVD it writes.  At widths ``1`` and a K that ``tests/test_trapezoids.py``
-pins a digest for, that sha256 must equal the digest, or the benchmark
+pins a digest for in ``BVD_DIGESTS``, or at K = 4 and a schedule it pins in
+``WIDE_BVD_DIGESTS``, that sha256 must equal the digest, or the benchmark
 exits 1.
 
     python benchmarks/bench_enumeration.py --levels 3
@@ -50,7 +51,11 @@ from bratteli import trapezoids
 from bratteli.trapezoids import WidenSchedule, enumerate_level
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from test_trapezoids import BVD_DIGESTS  # noqa: E402  (the pinned widths-1 digests)
+from test_trapezoids import BVD_DIGESTS, WIDE_BVD_DIGESTS  # noqa: E402
+
+# the pinned sha256 of build-fullshift's BVD, by (K, widths)
+PINNED = {**{(k, (1,)): digest for k, digest in BVD_DIGESTS.items()},
+          **{(4, widths): digest for widths, (_, digest) in WIDE_BVD_DIGESTS.items()}}
 
 
 def best_of(repeats, fn):
@@ -141,14 +146,22 @@ def build_once(levels, schedule):
 
 
 def source_identity():
-    """Git revision and sha256 of the imported package's source files."""
+    """Git revision and sha256 of the imported package's source files; the
+    revision ends ``-dirty`` when that source differs from ``HEAD``, whatever
+    else in the worktree does (a just-written ``BENCH_*.json`` included)."""
     src = Path(bratteli.__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(src.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=src, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
     try:
-        rev = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"],
-                             cwd=src, capture_output=True, text=True, check=True).stdout.strip()
+        rev = git("describe", "--always", "--abbrev=7")
+        if git("status", "--porcelain", "--", "."):
+            rev += "-dirty"
     except (OSError, subprocess.CalledProcessError):
         rev = "unknown"
     return rev, digest.hexdigest()
@@ -202,9 +215,10 @@ def main():
     if args.build is not None:
         build = {"build": build_once(args.build, schedule)}
         print(json.dumps(build["build"]))
-        pinned = BVD_DIGESTS.get(args.build) if schedule.widths == (1,) else None
+        pinned = PINNED.get((args.build, schedule.widths))
         if pinned is not None and build["build"]["bvd_sha256"] != pinned:
-            raise SystemExit(f"error: level-{args.build} BVD sha256 is not the pinned {pinned}")
+            raise SystemExit(f"error: level-{args.build} BVD sha256 at widths {args.widths} "
+                             f"is not the pinned {pinned}")
     if args.json is not None:
         store(args.json, rows, schedule, repeats=args.repeats, **build)
 

@@ -13,7 +13,7 @@ import gc
 import re
 from bisect import bisect_left
 from itertools import chain, groupby, repeat, takewhile
-from operator import ge, itemgetter
+from operator import ge, index, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 
@@ -58,6 +58,13 @@ _ORDER = itemgetter(2)
 _TARGET = itemgetter(3)
 
 
+def _check_integers(values: Iterable, what: str) -> None:
+    """Refuse a bool or non-integer among ``values``, judged by type in one pass."""
+    for t in set(map(type, values)):
+        if t is bool or not hasattr(t, "__index__"):
+            raise ValueError(f"{what} has a {t.__name__} field, not an integer")
+
+
 def _runs(edges: tuple[Edge, ...], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
     """Cut ``edges``, sorted by ``key``, into the run of each key value 0..n-1."""
     runs: list[tuple[Edge, ...]] = [()] * n
@@ -72,10 +79,12 @@ class OrderedBratteliDiagram:
     ``level_sizes`` gives ``|V_0|, ..., |V_K|``; ``edges`` is any iterable of
     :class:`Edge`; ``labels`` optionally attaches an opaque string payload to
     ``(level, vertex)`` pairs.  The constructor sorts each level's edges by
-    ``(source, order)`` and raises ``ValueError`` for what its fan tables
-    cannot hold: a negative level size, an edge level outside 1..K, an edge
-    end outside its level, or a label off the diagram or not a ``str``.  The
-    Bratteli axioms are left to :meth:`validate`.
+    ``(source, order)``, takes each level size through ``operator.index``,
+    and raises ``ValueError`` for what its fan tables or BVD text cannot
+    hold: a negative level size, an edge field or label vertex that is a
+    bool or no integer, an edge level outside 1..K, an edge end outside its
+    level, or a label off the diagram or not a ``str``.  The Bratteli axioms
+    are left to :meth:`validate`.
     """
 
     def __init__(
@@ -84,7 +93,7 @@ class OrderedBratteliDiagram:
         edges: Iterable[Edge] = (),
         labels: Mapping[tuple[int, int], str] | None = None,
     ):
-        self._sizes = tuple(int(n) for n in level_sizes)
+        self._sizes = tuple(map(index, level_sizes))
         if not self._sizes:
             raise ValueError("a diagram needs at least the root level")
         for k, n in enumerate(self._sizes):
@@ -95,10 +104,12 @@ class OrderedBratteliDiagram:
             if e.level not in per_level:
                 raise ValueError(f"edge level {e.level} outside 1..{self.depth}")
             per_level[e.level].append(e)
+        _check_integers(chain.from_iterable(chain.from_iterable(per_level.values())), "an edge")
         # sorted by (source, order) as two stable sorts on int keys
         self._edges = tuple(tuple(sorted(sorted(per_level[k], key=_ORDER), key=_SOURCE))
                             for k in range(1, len(self._sizes)))
         self._labels = dict(labels or {})
+        _check_integers(chain.from_iterable(self._labels), "a label vertex")
         for (k, v), text in self._labels.items():
             if not (0 <= k < len(self._sizes) and 0 <= v < self._sizes[k]):
                 raise ValueError(f"label on nonexistent vertex {v} of V_{k}")

@@ -72,10 +72,11 @@ def row_markers(word: str, k: int) -> MarkerRow:
 
 
 @dataclass(frozen=True)
-class MarkedWord:
-    """A binary word with marker rows 1..K and their determined ranges."""
+class GenericMarkerRows:
+    """Per-row marker sets on explicit index ranges; inputs and outputs of
+    the shift / fill / upward-adjustment pipeline.  Replacing a row gives
+    plain rows, even for a marked word: the row is no longer its rule row."""
 
-    word: str
     rows: tuple[MarkerRow, ...]
 
     @property
@@ -87,6 +88,18 @@ class MarkedWord:
             raise IndexError(f"row {k} outside 1..{len(self.rows)}")
         return self.rows[k - 1]
 
+    def replace_row(self, k: int, row: MarkerRow) -> "GenericMarkerRows":
+        rows = list(self.rows)
+        rows[k - 1] = row
+        return GenericMarkerRows(tuple(rows))
+
+
+@dataclass(frozen=True)
+class MarkedWord(GenericMarkerRows):
+    """A binary word with its domination-rule rows 1..K."""
+
+    word: str
+
 
 def mark_all_rows(word: str, rows: int) -> MarkedWord:
     """Compute rows 1..``rows`` independently from the word.
@@ -96,10 +109,10 @@ def mark_all_rows(word: str, rows: int) -> MarkedWord:
     """
     if rows < 1:
         raise ValueError(f"need at least one row, got {rows}")
-    return MarkedWord(word, tuple(row_markers(word, k) for k in range(1, rows + 1)))
+    return MarkedWord(tuple(row_markers(word, k) for k in range(1, rows + 1)), word)
 
 
-def infinite_order_positions(mw: MarkedWord, rows: int | None = None) -> frozenset[int]:
+def infinite_order_positions(mw: GenericMarkerRows, rows: int | None = None) -> frozenset[int]:
     """Positions carrying a marker in every row 1..``rows``, restricted to
     the intersection of the determined ranges."""
     if rows is None:
@@ -129,31 +142,6 @@ def render_marked_word(mw: MarkedWord) -> str:
                 cells.append(" ?")
         lines.append("".join(cells).rstrip())
     return "\n".join(lines)
-
-
-# --- generic marker rows (no rule attached) --------------------------------
-
-
-@dataclass(frozen=True)
-class GenericMarkerRows:
-    """Per-row marker sets on explicit index ranges; inputs and outputs of
-    the shift / fill / upward-adjustment pipeline."""
-
-    rows: tuple[MarkerRow, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.rows)
-
-    def row(self, k: int) -> MarkerRow:
-        if not 1 <= k <= len(self.rows):
-            raise IndexError(f"row {k} outside 1..{len(self.rows)}")
-        return self.rows[k - 1]
-
-    def replace_row(self, k: int, row: MarkerRow) -> "GenericMarkerRows":
-        rows = list(self.rows)
-        rows[k - 1] = row
-        return GenericMarkerRows(tuple(rows))
 
 
 def shift_row(rows: GenericMarkerRows, k: int, delta: int) -> GenericMarkerRows:

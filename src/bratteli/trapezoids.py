@@ -24,7 +24,7 @@ from . import _kernels
 from .diagram import Edge, OrderedBratteliDiagram, PathPrefix
 
 if TYPE_CHECKING:  # annotations only: building the diagram never marks a word
-    from .markers import MarkedWord
+    from .markers import GenericMarkerRows, MarkedWord
 
 
 class InsufficientWindowError(ValueError):
@@ -232,7 +232,7 @@ def _extract(rows: tuple[TrapezoidRow, ...], start: int, end: int, level: int,
     return Trapezoid(level, end - start, tuple(out))
 
 
-def k_blocks(mw: MarkedWord, k: int) -> list[tuple[int, int]]:
+def k_blocks(mw: GenericMarkerRows, k: int) -> list[tuple[int, int]]:
     """Consecutive row-k marker pairs inside the determined range."""
     positions = sorted(mw.row(k).positions)
     if len(positions) < 2:

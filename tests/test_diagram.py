@@ -65,11 +65,38 @@ E = Edge
     ([1, 1], [E(1, 0, 0, 0)], {(1, -1): "y"}, "label on nonexistent vertex -1 of V_1"),
     ([1, 1], [E(1, 0, 0, 0)], {(2, 0): "y"}, "label on nonexistent vertex 0 of V_2"),
     ([1, 1], [E(1, 0, 0, 0)], {(1, 0): b"y"}, "label of vertex 0 of V_1 is not a str: b'y'"),
+    # values whose BVD text would not read back as them: edge fields and
+    # label vertices must be integers and no bool
+    ([1, 1], [E(1, 0, 0, 0)], {(1, 0.5): "x"}, "a label vertex has a float field, not an integer"),
+    ([1, 1], [E(1, 0, 0, 0)], {(True, 0): "x"}, "a label vertex has a bool field, not an integer"),
+    ([1, 2], [E(1, 0, 0, 0), E(1, True, 0, 0)], None, "an edge has a bool field, not an integer"),
+    ([1, 1], [E(1, 0, 0.0, 0)], None, "an edge has a float field, not an integer"),
+    ([1, 1], [E(1, 0.5, 0, 0)], None, "an edge has a float field, not an integer"),
+    ([1, 1], [E(1.0, 0, 0, 0)], None, "an edge has a float field, not an integer"),
+    # a str order would otherwise fail the sort with a TypeError
+    ([1, 1], [E(1, 0, 0, 0), E(1, 0, "1", 0)], None, "an edge has a str field, not an integer"),
 ])
 def test_constructor_rejects_what_its_tables_cannot_hold(sizes, edges, labels, message):
     with pytest.raises(ValueError) as err:
         OrderedBratteliDiagram(sizes, edges, labels)
     assert str(err.value) == message
+
+
+def test_level_sizes_go_through_operator_index():
+    # no truncation of 1.9 to 1, and no parsing of "1"
+    for size in (1.9, "1", None):
+        with pytest.raises(TypeError):
+            OrderedBratteliDiagram([1, size], [E(1, 0, 0, 0)])
+    d = OrderedBratteliDiagram([1, True], [E(1, 0, 0, 0)])
+    assert d.level_sizes == (1, 1) and type(d.level_sizes[1]) is int
+
+
+def test_other_integer_types_are_accepted_and_round_trip():
+    np = pytest.importorskip("numpy")
+    one, zero = np.int64(1), np.uint8(0)
+    d = OrderedBratteliDiagram([1, one], [E(1, zero, zero, 0)], {(one, zero): "x"})
+    assert d.level_sizes == (1, 1) and type(d.level_sizes[1]) is int
+    assert deserialize(serialize(d)).structurally_equal(d)
 
 
 @pytest.mark.parametrize("sizes,edges,codes,fans_from,fans_to", [

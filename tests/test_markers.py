@@ -235,3 +235,30 @@ def test_upward_adjust_nesting_holds_after():
         adjusted, _ = upward_adjust(rows)
         assert adjusted.row(2).positions <= adjusted.row(1).positions
         assert adjusted.row(3).positions <= adjusted.row(2).positions
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.tuples(st.just(k), st.text(alphabet="01", min_size=3 * k - 2, max_size=24))))
+def test_upward_adjust_keeps_the_rule_rows(k_word):
+    # the rule's rows are already nested, so adjusting them moves and drops nothing
+    k, word = k_word
+    mw = mark_all_rows(word, k)
+    adjusted, dropped = upward_adjust(mw)
+    assert adjusted.rows == mw.rows
+    assert dropped == ()
+
+
+def test_pipeline_takes_a_marked_word():
+    mw = mark_all_rows("1001001001001", 3)
+    assert isinstance(mw, GenericMarkerRows)
+    plain = GenericMarkerRows(mw.rows)
+    shifted, filled = shift_row(mw, 1, -2), fill_outside_forbidden(mw, 3, 2)
+    # a changed row is no longer the word's rule row, so the result is plain
+    # rows, equal to those the word's rows give
+    assert type(shifted) is type(filled) is GenericMarkerRows
+    assert shifted == shift_row(plain, 1, -2)
+    assert filled == fill_outside_forbidden(plain, 3, 2)
+    assert shifted.rows[1:] == mw.rows[1:] and filled.rows[:2] == mw.rows[:2]
+    assert shifted.row(1).determined_range == (0, 10)
+    assert filled.row(3).positions == frozenset({2, 3, 5, 6, 8})

@@ -183,18 +183,31 @@ def test_built_fans_partition_each_level(fullshift3):
     assert_fans_partition(fullshift3)
 
 
+# values that compare equal to, or between, integers but whose BVD text is none
+non_integers = st.sampled_from([0.0, 1.0, 0.5, True, False])
+
+
 @settings(max_examples=200)
 @given(st.randoms(use_true_random=False),
-       st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5),
-                          st.text(max_size=3) | st.none()), max_size=4))
-def test_labelled_random_diagrams_round_trip_or_are_refused(rng, triples):
-    # labels on random (level, vertex) pairs, some off the diagram, and
-    # None as a payload that is not a str
+       st.lists(st.tuples(st.integers(-1, 5) | non_integers, st.integers(-1, 5) | non_integers,
+                          st.text(max_size=3) | st.none()), max_size=4),
+       st.none() | st.tuples(st.integers(0), st.integers(0, 3), non_integers))
+def test_labelled_random_diagrams_round_trip_or_are_refused(rng, triples, swap):
+    # labels on random (level, vertex) pairs, some off the diagram or not
+    # integers, and None as a payload that is not a str; ``swap`` sets one
+    # field of one edge to a value that is not an integer
     d = random_diagram(rng, depth=rng.randint(1, 3))
     labels = {(k, v): text for k, v, text in triples}
     edges = [e for k in range(1, d.depth + 1) for e in d.edges_at(k)]
-    refused = any(not (0 <= k <= d.depth and 0 <= v < d.level_size(k)) or text is None
-                  for (k, v), text in labels.items())
+    refused = swap is not None or any(
+        type(k) is not int or type(v) is not int
+        or not (0 <= k <= d.depth and 0 <= v < d.level_size(k)) or text is None
+        for (k, v), text in labels.items())
+    if swap is not None:
+        i, field, value = swap
+        fields = list(edges[i % len(edges)])
+        fields[field] = value
+        edges[i % len(edges)] = Edge(*fields)
     try:
         labelled = OrderedBratteliDiagram(d.level_sizes, edges, labels)
     except ValueError:
