@@ -102,7 +102,7 @@ class OrderedBratteliDiagram:
         per_level: dict[int, list[Edge]] = {k: [] for k in range(1, len(self._sizes))}
         for e in edges:
             if e.level not in per_level:
-                raise ValueError(f"edge level {e.level} outside 1..{self.depth}")
+                raise ValueError(f"edge level {e.level!r} outside 1..{self.depth}")
             per_level[e.level].append(e)
         _check_integers(chain.from_iterable(chain.from_iterable(per_level.values())), "an edge")
         # sorted by (source, order) as two stable sorts on int keys

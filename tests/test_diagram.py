@@ -73,6 +73,8 @@ E = Edge
     ([1, 1], [E(1, 0, 0.0, 0)], None, "an edge has a float field, not an integer"),
     ([1, 1], [E(1, 0.5, 0, 0)], None, "an edge has a float field, not an integer"),
     ([1, 1], [E(1.0, 0, 0, 0)], None, "an edge has a float field, not an integer"),
+    # a level that matches no level is named as it is
+    ([1, 1], [E("1", 0, 0, 0)], None, "edge level '1' outside 1..1"),
     # a str order would otherwise fail the sort with a TypeError
     ([1, 1], [E(1, 0, 0, 0), E(1, 0, "1", 0)], None, "an edge has a str field, not an integer"),
 ])
