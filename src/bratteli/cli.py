@@ -31,13 +31,13 @@ def _format_diagram(diagram, fmt: str) -> str:
 
 def cmd_build_fullshift(args) -> int:
     # the full-shift and marker commands import numpy; the others never do
-    from .trapezoids import WidenSchedule, build_diagram, dependence_bound
+    from .trapezoids import WidenSchedule, build_diagram, longest_read_window
 
     schedule = WidenSchedule.parse(args.widths)
     if args.word_length is not None and args.levels >= 1:
-        bound = dependence_bound(args.levels, schedule)[2]
+        bound = longest_read_window(args.levels, schedule)
         if args.word_length < bound:
-            raise ValueError(f"word length {args.word_length} below the dependence bound "
+            raise ValueError(f"word length {args.word_length} below the longest read window "
                              f"{bound} for level {args.levels}; increase --word-length")
     diagram = build_diagram(args.levels, schedule)
     text = _format_diagram(diagram, args.format)
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the marker-rule diagram of the binary full shift")
     p.add_argument("--levels", "-k", type=int, default=3, help="levels below the root")
     p.add_argument("--word-length", "-L", type=int, default=None, dest="word_length",
-                   help="optional: fail unless the top level's windows fit in this many "
+                   help="optional: fail unless the top level's read window fits in this many "
                         "cells; changes neither the work nor the output")
     p.add_argument("--widths", default="1", help="comma list of widening rectangle widths")
     p.add_argument("--format", choices=["bvd", "dot"], default="bvd")

@@ -250,13 +250,15 @@ def trapezoid_at(mw: MarkedWord, block: tuple[int, int], k: int,
 
 
 def dependence_bound(k: int, schedule: WidenSchedule = WidenSchedule()) -> tuple[int, int, int]:
-    """``(pad_left, pad_right, min_word_length)`` for level-k extraction.
+    """``(pad_left, pad_right, min_word_length)`` of the reference scan's
+    level-k windows.
 
-    ``pad_left``/``pad_right`` are the cells needed around a core so that
-    the whole trapezoid, including every marker determination it reads, is
-    a function of that window alone.  It is an outer bound, for the CLI's
-    ``--word-length`` check: :func:`enumerate_level` grows spans over the
-    cells extraction reads, a narrower window.
+    ``_kernels.enumerate_block_window_keys`` marks every binary window of
+    ``pad_left`` cells, a core and ``pad_right`` cells, and keeps those whose
+    core is a block.  The window contains every cell a level-k span reads
+    and more (:func:`longest_read_window` is the exact count), so it is the
+    reference scan's own outer window: enumeration and the CLI's
+    ``--word-length`` check do not use it.
     """
     margin = sum(schedule.widths_below(k))
     pad_left = margin + k - 1
@@ -274,29 +276,21 @@ def _marker_table(r: int) -> np.ndarray:
     return table
 
 
-def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
-                ) -> tuple[Iterator[tuple[TrapezoidRow, ...]], int]:
-    """The distinct spans of the level-k blocks with core ``[0, core_width]``,
-    as the rows :func:`_extract` reads, and the most states held at once.
+def _read_table(k: int, core_width: int, schedule: WidenSchedule
+                ) -> tuple[list[range], list[int], int, int]:
+    """``(reads, starts, first, last)``: the cells and marker bits a level-k
+    span with core ``[0, core_width]`` reads, which is all :func:`_extract`
+    reads of the rows around that core.
 
-    A span is what extraction reads: row r's marker bits over ``reads[r] =
-    [-m_r, core_width + m_r]``, ``m_r`` the sum of the widths w >= r below
-    k, and the cells under row 1's.  Widening by w moves only rows 1..w,
-    each end to the next row-w marker, at most w cells away, so row r moves
-    at most ``m_r`` cells and row k's range is the core.  Row r's bit at p
-    is decided by cells ``p - r + 1 .. p + 2r - 2``, so the span is a
-    function of the cells from ``first``, read by the first bit of some
-    row, to ``last``, which decides the last bit, and growth runs over
-    those cells alone.  A state is a partial window, kept as its span bits
-    and last ``3k - 3`` cells.  Adding cell ``t`` both ways decides cell t
-    and each row r's bit at ``t - 2r + 2`` from the last ``3r - 2`` cells;
-    a bit in its row's range joins the span, and a state whose row-k bits
-    are not 1 at both core ends and 0 inside is dropped.  A bit decided by
-    a later cell ``t'`` reads cells from ``t' - 3r + 3 > t - 3k + 3`` on, so
-    states with equal span bits and last ``3k - 3`` cells have the same
-    completions (one follower set of the sliding block code that marks the
-    rows) and are merged.  Once the last bit is decided, the spans left are
-    exactly those of the core-width blocks of all words.
+    ``reads[r]`` is row r's range of marker bits, ``[-m_r, core_width +
+    m_r]`` with ``m_r`` the sum of the widths w >= r below k, and
+    ``reads[0]`` the cells under row 1's.  Widening by w moves only rows
+    1..w, each end to the next row-w marker, at most w cells away, so row r
+    moves at most ``m_r`` cells and row k's range is the core.  ``starts[r]``
+    is range r's first column in a span's bit vector.  Row r's bit at p is
+    decided by cells ``p - r + 1 .. p + 2r - 2``, so the span is a function
+    of the cells from ``first``, read by the first bit of some row, to
+    ``last``, which decides the last bit.
     """
     reads = [range(-m, core_width + m + 1) for m in (
         sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1))]
@@ -304,6 +298,36 @@ def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
     starts = np.cumsum([0, *map(len, reads)]).tolist()  # each range's first bit column
     first = min(rng.start - max(r - 1, 0) for r, rng in enumerate(reads))  # the first cell read
     last = max(rng[-1] + max(2 * r - 2, 0) for r, rng in enumerate(reads))  # decides the last bit
+    return reads, starts, first, last
+
+
+def longest_read_window(k: int, schedule: WidenSchedule) -> int:
+    """The most cells a level-k span reads: ``last - first + 1`` of
+    :func:`_read_table`, the longest over core widths 1..k.  The CLI
+    refuses a ``--word-length`` below it."""
+    return max(last - first + 1 for _, _, first, last in
+               (_read_table(k, cw, schedule) for cw in range(1, k + 1)))
+
+
+def _grow_spans(k: int, core_width: int, schedule: WidenSchedule
+                ) -> tuple[Iterator[tuple[TrapezoidRow, ...]], int]:
+    """The distinct spans of the level-k blocks with core ``[0, core_width]``,
+    as the rows :func:`_extract` reads, and the most states held at once.
+
+    A span is the bits of :func:`_read_table`'s ``reads`` and a function of
+    its cells ``first`` to ``last``, so growth runs over those cells alone.
+    A state is a partial window, kept as its span bits and last ``3k - 3``
+    cells.  Adding cell ``t`` both ways decides cell t and each row r's bit
+    at ``t - 2r + 2`` from the last ``3r - 2`` cells; a bit in its row's
+    range joins the span, and a state whose row-k bits are not 1 at both
+    core ends and 0 inside is dropped.  A bit decided by a later cell
+    ``t'`` reads cells from ``t' - 3r + 3 > t - 3k + 3`` on, so states with
+    equal span bits and last ``3k - 3`` cells have the same completions
+    (one follower set of the sliding block code that marks the rows) and
+    are merged.  Once the last bit is decided, the spans left are exactly
+    those of the core-width blocks of all words.
+    """
+    reads, starts, first, last = _read_table(k, core_width, schedule)
     spans = np.zeros((1, -(-starts[-1] // 8)), dtype=np.uint8)  # span bits, packed
     cells = np.zeros(1, dtype=np.int64)
     peak = 1

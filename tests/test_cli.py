@@ -153,10 +153,12 @@ BAD_INPUT_MESSAGES = {
     # a \r in the label ends no line, for the parser as for the byte count
     "bvd-not-utf8-after-cr": "error: line 5: byte 0xff is not UTF-8\n",
     "word-length-too-short":
-        "error: word length 3 below the dependence bound 9 for level 2; increase --word-length\n",
+        ("error: word length 3 below the longest read window 6 for level 2; "
+         "increase --word-length\n"),
     # checked against the top level before any level is enumerated
     "word-length-below-top-level":
-        "error: word length 18 below the dependence bound 29 for level 7; increase --word-length\n",
+        ("error: word length 18 below the longest read window 26 for level 7; "
+         "increase --word-length\n"),
 }
 
 

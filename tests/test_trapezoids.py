@@ -15,8 +15,8 @@ from bratteli.trapezoids import (InsufficientWindowError, Trapezoid, TrapezoidRo
                                  WidenSchedule, _extract, _grow_spans, _marker_table,
                                  build_diagram, canonical_text, decompose,
                                  dependence_bound, enumerate_level, k_blocks,
-                                 path_to_window, render_trapezoid, trapezoid_at,
-                                 trapezoid_from_text, window_shift_mismatches)
+                                 longest_read_window, path_to_window, render_trapezoid,
+                                 trapezoid_at, trapezoid_from_text, window_shift_mismatches)
 from bratteli.vershik import all_prefixes, is_maximal_prefix, successor
 from conftest import CLI, CLI_ENV
 
@@ -217,18 +217,48 @@ def test_spans_at_width_one_are_the_trapezoids(k):
     assert spans == len(enumerate_level(k, W1))
 
 
-def test_enumerate_level_word_length_bound():
-    # the word length is only an assertion of the CLI, made against the bound
-    assert dependence_bound(3, W1)[2] == 13
-    short = subprocess.run(CLI + ["build-fullshift", "-k", "3", "-L", "12"],
+@pytest.mark.parametrize("widths", [(1,), (1, 2), (1, 3), (1, 2, 3)],
+                         ids=lambda w: "w" + "-".join(map(str, w)))
+def test_longest_read_window_from_the_rule_reach(widths):
+    """Row r is read over ``[-m_r, cw + m_r]``, and the rule decides its bit
+    at p from the ``r - 1`` cells left of p and the ``2r - 2`` right of it,
+    so the widest core, ``cw = k``, reads the longest window."""
+    schedule = WidenSchedule(widths)
+    for k in range(1, 9):
+        margins = [sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1)]
+        first = min(-m - (r - 1) for r, m in enumerate(margins, start=1))
+        last = max(k + m + 2 * r - 2 for r, m in enumerate(margins, start=1))
+        assert longest_read_window(k, schedule) == last - first + 1, k
+
+
+# (widths, level) -> the longest read window, the least word length the
+# CLI takes
+READ_WINDOW_CASES = {((1,), 2): 6, ((1,), 3): 10, ((1,), 4): 14, ((1,), 7): 26,
+                     ((1, 2, 3), 4): 18}
+
+
+READ_WINDOW_IDS = [f"w{'-'.join(map(str, w))}-k{k}" for w, k in sorted(READ_WINDOW_CASES)]
+
+
+@pytest.mark.parametrize("widths,k", sorted(READ_WINDOW_CASES), ids=READ_WINDOW_IDS)
+def test_cli_word_length_bound_is_the_read_window(widths, k, tmp_path):
+    """The word length is only an assertion of the CLI: one cell short of
+    the longest read window exits 1 before anything is built, and at the
+    bound the build gives the pinned BVD."""
+    bound = READ_WINDOW_CASES[widths, k]
+    args = ["build-fullshift", "-k", str(k), "--widths", ",".join(map(str, widths))]
+    short = subprocess.run(CLI + args + ["-L", str(bound - 1)],
                            capture_output=True, text=True, env=CLI_ENV)
-    assert short.returncode == 1
-    assert short.stdout == ""
-    assert short.stderr == ("error: word length 12 below the dependence bound 13 for level 3; "
-                            "increase --word-length\n")
-    exact = subprocess.run(CLI + ["build-fullshift", "-k", "3", "-L", "13", "-o", os.devnull],
-                           capture_output=True, text=True, env=CLI_ENV)
-    assert exact.returncode == 0, exact.stderr  # exactly at the bound is fine
+    assert (short.returncode, short.stdout) == (1, "")
+    assert short.stderr == (f"error: word length {bound - 1} below the longest read window "
+                            f"{bound} for level {k}; increase --word-length\n")
+    if k <= 4:
+        out_path = tmp_path / "fs.bvd"
+        exact = subprocess.run(CLI + args + ["-L", str(bound), "-o", str(out_path)],
+                               capture_output=True, text=True, env=CLI_ENV)
+        assert exact.returncode == 0, exact.stderr
+        digest = BVD_DIGESTS[k] if widths == (1,) else WIDE_BVD_DIGESTS[widths][1]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 GUARD_CASES = ([((1,), k) for k in range(1, 6)] + [(w, k) for w in ((1, 2), (1, 3)) for k in (2, 3)]
