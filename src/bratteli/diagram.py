@@ -339,11 +339,12 @@ def parse_path_spec(diagram: OrderedBratteliDiagram, spec: str) -> PathPrefix:
 # --- BVD text format ------------------------------------------------------
 #
 # UTF-8 lines, each ending at '\n' alone (a '\r' before it is stripped), so a
-# label may hold any other character; lines starting with '#' are comments:
+# label may hold any other character; lines starting with '#' are comments.
+# The records come in this order, LABEL and EDGE ones mixed in any order:
 #
 #   BVD 1
 #   DEPTH <K>
-#   LEVEL <k> <num_vertices>          for every k = 0..K
+#   LEVEL <k> <num_vertices>          for k = 0, 1, ..., K in turn
 #   LABEL <k> <vertex> "<string>"     optional, backslash escapes \" \\ \n
 #   EDGE <k> <source> <order> <target>
 
@@ -400,7 +401,7 @@ def _small_ints(col: list[str]) -> list[int]:
 
 
 def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
-                 sizes: dict[int, int]) -> list[Edge]:
+                 sizes: list[int]) -> list[Edge]:
     """The edges of ``n`` EDGE lines from line ``lineno`` on, given the
     whitespace-split ``fields`` of all of them; each line starts with its
     ``EDGE`` tag.
@@ -423,9 +424,6 @@ def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
     if min(levels) < 1 or max(levels) > depth:
         k = next(k for k in levels if not 1 <= k <= depth)
         raise BVDParseError(lineno, f"edge level {k} outside 1..{depth}")
-    for k in sorted(set(levels)):
-        if k not in sizes or (k - 1) not in sizes:
-            raise BVDParseError(lineno, f"EDGE before LEVEL declarations for {k} and {k - 1}")
     for vertices, what, shift in ((sources, "source", 0), (targets, "target", 1)):
         bound = {k: sizes[k - shift] for k in set(levels)}
         bounds = list(map(bound.__getitem__, levels))
@@ -443,6 +441,10 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
     """Parse BVD text; raises :class:`BVDParseError` or, for a structurally
     invalid diagram, :class:`DiagramValidationError`.
 
+    The records come as :func:`serialize` writes them: ``BVD 1``,
+    ``DEPTH K`` and ``LEVEL 0`` to ``LEVEL K`` in turn, then ``LABEL``
+    and ``EDGE`` records in any order.
+
     Runs of EDGE lines are parsed in bulk; a fault is still reported at the
     first bad line.  The cyclic garbage collector is paused meanwhile: the
     parse and the diagram build only acyclic tuples, which the collector
@@ -459,53 +461,54 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
 
 
 def _read_bvd(text: str) -> OrderedBratteliDiagram:
-    depth: int | None = None
-    sizes: dict[int, int] = {}
-    labels: dict[tuple[int, int], str] = {}
-    edges: list[Edge] = []
-    header_seen = False
     lines = text.split("\n")
     if not lines[-1]:
         del lines[-1]  # after the last '\n' there is no line
-    lineno = 0  # of the current line, and the index of the next one
+    # the records with their line numbers, taken one at a time for the prologue
+    records = ((i, s) for i, s in enumerate(map(str.strip, lines), start=1)
+               if s and not s.startswith("#"))
+
+    def take(record: str) -> tuple[int, str]:  # the next record, due to be `record`
+        for lineno, line in records:
+            return lineno, line
+        raise BVDParseError(max(len(lines), 1), f"missing {record}")
+
+    lineno, line = take("'BVD 1' header")
+    if line != "BVD 1":
+        raise BVDParseError(lineno, f"expected 'BVD 1' header, got {line!r}")
+    lineno, line = take("DEPTH")
+    kind, *fields = line.split()
+    if kind != "DEPTH":
+        raise BVDParseError(lineno, f"expected DEPTH, got {line!r}")
+    (depth,) = _int_fields(fields, 1, lineno, "DEPTH")
+    if depth < 0:
+        raise BVDParseError(lineno, f"negative depth {depth}")
+    sizes: list[int] = []
+    for k in range(depth + 1):
+        lineno, line = take(f"LEVEL {k}")
+        kind, *fields = line.split()
+        level, n = _int_fields(fields, 2, lineno, "LEVEL") if kind == "LEVEL" else (None, 0)
+        if level != k:
+            raise BVDParseError(lineno, f"expected LEVEL {k}, got {line!r}")
+        if n < 0:
+            raise BVDParseError(lineno, f"negative vertex count {n}")
+        sizes.append(n)
+    labels: dict[tuple[int, int], str] = {}
+    edges: list[Edge] = []
+    # lineno is the last prologue line's, and the index of the next one
     while lineno < len(lines):
         line = lines[lineno].strip()
         lineno += 1
         if not line or line.startswith("#"):
             continue
-        if not header_seen:
-            if line != "BVD 1":
-                raise BVDParseError(lineno, f"expected 'BVD 1' header, got {line!r}")
-            header_seen = True
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "DEPTH":
-            if depth is not None:
-                raise BVDParseError(lineno, "duplicate DEPTH")
-            (depth,) = _int_fields(tokens[1:], 1, lineno, "DEPTH")
-            if depth < 0:
-                raise BVDParseError(lineno, f"negative depth {depth}")
-        elif kind == "LEVEL":
-            if depth is None:
-                raise BVDParseError(lineno, "LEVEL before DEPTH")
-            k, n = _int_fields(tokens[1:], 2, lineno, "LEVEL")
-            if not 0 <= k <= depth:
-                raise BVDParseError(lineno, f"level {k} outside 0..{depth}")
-            if k in sizes:
-                raise BVDParseError(lineno, f"duplicate LEVEL {k}")
-            if n < 0:
-                raise BVDParseError(lineno, f"negative vertex count {n}")
-            sizes[k] = n
-        elif kind == "LABEL":
-            if depth is None:
-                raise BVDParseError(lineno, "LABEL before DEPTH")
+        kind = line.split(None, 1)[0]
+        if kind == "LABEL":
             head = line.split(None, 3)
             if len(head) != 4:
                 raise BVDParseError(lineno, "LABEL: expected level, vertex and quoted string")
             k, v = _int_fields(head[1:3], 2, lineno, "LABEL")
-            if k not in sizes:
-                raise BVDParseError(lineno, f"LABEL references undeclared level {k}")
+            if not 0 <= k <= depth:
+                raise BVDParseError(lineno, f"LABEL level {k} outside 0..{depth}")
             if not 0 <= v < sizes[k]:
                 raise BVDParseError(lineno, f"LABEL references nonexistent vertex {v} of V_{k}")
             quoted = head[3].strip()
@@ -513,8 +516,6 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
                 raise BVDParseError(lineno, "LABEL string must be double-quoted")
             labels[(k, v)] = _unescape(quoted[1:-1], lineno)
         elif kind == "EDGE":
-            if depth is None:
-                raise BVDParseError(lineno, "EDGE before DEPTH")
             # this line and the EDGE lines right after it, parsed in one step;
             # a longer run goes on as the next record
             run = lines[lineno - 1:lineno - 1 + _EDGE_SLICE]
@@ -527,16 +528,11 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
                 for j in range(n):
                     edges += _parse_edges(run[j].split(), lineno + j, 1, depth, sizes)
             lineno += n - 1
+        elif kind in ("DEPTH", "LEVEL"):
+            raise BVDParseError(lineno, f"{kind} after the last level, LEVEL {depth}")
         else:
             raise BVDParseError(lineno, f"unknown record {kind!r}")
-    if not header_seen:
-        raise BVDParseError(max(lineno, 1), "missing 'BVD 1' header")
-    if depth is None:
-        raise BVDParseError(max(lineno, 1), "missing DEPTH")
-    for k in range(depth + 1):
-        if k not in sizes:
-            raise BVDParseError(max(lineno, 1), f"missing LEVEL {k}")
-    diagram = OrderedBratteliDiagram([sizes[k] for k in range(depth + 1)], edges, labels)
+    diagram = OrderedBratteliDiagram(sizes, edges, labels)
     violations = diagram.validate()
     if violations:
         raise DiagramValidationError(violations)

@@ -304,9 +304,14 @@ def _read_table(k: int, core_width: int, schedule: WidenSchedule
 def longest_read_window(k: int, schedule: WidenSchedule) -> int:
     """The most cells a level-k span reads: ``last - first + 1`` of
     :func:`_read_table`, the longest over core widths 1..k.  The CLI
-    refuses a ``--word-length`` below it."""
-    return max(last - first + 1 for _, _, first, last in
-               (_read_table(k, cw, schedule) for cw in range(1, k + 1)))
+    refuses a ``--word-length`` below it.
+
+    Each of the table's ranges starts at the same cell for every core width
+    and ends ``core_width`` cells right of a fixed one, so ``first`` and
+    ``last - core_width`` do not depend on the core width: the widest core,
+    ``k``, reads the longest window."""
+    _, _, first, last = _read_table(k, k, schedule)
+    return last - first + 1
 
 
 def _grow_spans(k: int, core_width: int, schedule: WidenSchedule

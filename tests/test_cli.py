@@ -137,6 +137,7 @@ BAD_INPUTS = {
     # a bare \r ends no line, so the header line runs on to the end of the file
     "bvd-bare-cr": ("diagnose", "{bare_cr}"),
     "bvd-is-a-directory": ("diagnose", "{directory}"),
+    "bvd-levels-out-of-order": ("diagnose", "{levels_out_of_order}"),
     "successor-bvd-missing": ("successor", "{missing}", "0"),
     "markers-word-too-short": ("markers", "--word", "1", "--rows", "5"),
 }
@@ -152,6 +153,8 @@ BAD_INPUT_MESSAGES = {
     "bvd-not-utf8": "error: line 5: byte 0xff is not UTF-8\n",
     # a \r in the label ends no line, for the parser as for the byte count
     "bvd-not-utf8-after-cr": "error: line 5: byte 0xff is not UTF-8\n",
+    # the prologue's records come in order: LEVEL 0 first
+    "bvd-levels-out-of-order": "error: line 3: expected LEVEL 0, got 'LEVEL 1 1'\n",
     "word-length-too-short":
         ("error: word length 3 below the longest read window 6 for level 2; "
          "increase --word-length\n"),
@@ -167,6 +170,7 @@ def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     files = {"garbage": tmp_path / "garbage.bvd", "depth0": tmp_path / "depth0.bvd",
              "huge": tmp_path / "huge.bvd", "latin1": tmp_path / "latin1.bvd",
              "latin1_cr": tmp_path / "latin1-cr.bvd", "bare_cr": tmp_path / "bare-cr.bvd",
+             "levels_out_of_order": tmp_path / "levels-out-of-order.bvd",
              "directory": tmp_path,
              "odometer": odometer_file, "missing": tmp_path / "missing" / "out.bvd"}
     files["garbage"].write_text("hello world\n", encoding="utf-8")
@@ -178,6 +182,8 @@ def test_bad_input_reports_without_traceback(name, tmp_path, odometer_file):
     files["latin1"].write_bytes(b'BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n'
                                 b'LABEL 1 0 "\xff"\nEDGE 1 0 0 0\n')
     files["latin1_cr"].write_bytes(files["latin1"].read_bytes().replace(b'"\xff"', b'"a\rb\xff"'))
+    files["levels_out_of_order"].write_text("BVD 1\nDEPTH 1\nLEVEL 1 1\nLEVEL 0 1\nEDGE 1 0 0 0\n",
+                                            encoding="utf-8")
     files["bare_cr"].write_bytes(serialize(odometer(3)).replace("\n", "\r").encode())
     res = run(*(a.format(**files) for a in BAD_INPUTS[name]))
     # a domain error: exit 1 and one line

@@ -254,15 +254,6 @@ def test_deserialize_reports_bad_label_escapes(label, message):
     assert str(err.value) == f"line 7: {message}"
 
 
-def test_deserialize_rejects_bad_header_and_records():
-    with pytest.raises(BVDParseError, match="header"):
-        deserialize("DEPTH 1\n")
-    with pytest.raises(BVDParseError, match="unknown record"):
-        deserialize("BVD 1\nDEPTH 0\nLEVEL 0 1\nBOGUS\n")
-    with pytest.raises(BVDParseError, match="missing LEVEL 1"):
-        deserialize("BVD 1\nDEPTH 1\nLEVEL 0 1\n")
-
-
 @pytest.mark.parametrize("text", ["BVD 1\nDEPTH 1\nLEVEL 0 1", "BVD 1\nDEPTH 1\nLEVEL 0 1\n",
                                   "BVD 1\r\nDEPTH 1\r\nLEVEL 0 1\r\n"])
 def test_deserialize_reports_a_missing_record_at_the_last_line(text):
@@ -412,6 +403,56 @@ def test_violation_fields_and_defaults():
         v.code = "d"
 
 
+_DEPTH_1 = "BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n"  # lines 1-4
+
+
+@pytest.mark.parametrize("text,line,message", [
+    # the header, then DEPTH, then LEVEL 0..K, each in turn
+    ("", 1, "missing 'BVD 1' header"),
+    ("# a comment\n\n", 2, "missing 'BVD 1' header"),
+    ("DEPTH 1\n", 1, "expected 'BVD 1' header, got 'DEPTH 1'"),
+    ("BVD 2\nDEPTH 0\nLEVEL 0 1\n", 1, "expected 'BVD 1' header, got 'BVD 2'"),
+    ("BVD 1\n", 1, "missing DEPTH"),
+    ("BVD 1\nDEPTH\n", 2, "DEPTH: expected 1 fields, got 0"),
+    ("BVD 1\nDEPTH 1 2\n", 2, "DEPTH: expected 1 fields, got 2"),
+    ("BVD 1\nDEPTH one\n", 2, "DEPTH: non-integer field"),
+    ("BVD 1\nDEPTH -1\n", 2, "negative depth -1"),
+    ("BVD 1\nEDGE 1 0 0 0\n", 2, "expected DEPTH, got 'EDGE 1 0 0 0'"),
+    ("BVD 1\nLEVEL 0 1\n", 2, "expected DEPTH, got 'LEVEL 0 1'"),
+    ('BVD 1\n# note\nLABEL 0 0 "r"\n', 3, "expected DEPTH, got 'LABEL 0 0 \"r\"'"),
+    ("BVD 1\nDEPTH 1\nDEPTH 1\n", 3, "expected LEVEL 0, got 'DEPTH 1'"),
+    ("BVD 1\nDEPTH 2\nLEVEL 1 1\nEDGE 1 0 0 0\n", 3, "expected LEVEL 0, got 'LEVEL 1 1'"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 0 1\n", 4, "expected LEVEL 1, got 'LEVEL 0 1'"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 2 1\n", 4, "expected LEVEL 1, got 'LEVEL 2 1'"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nEDGE 1 0 0 0\nLEVEL 1 1\n", 4,
+     "expected LEVEL 1, got 'EDGE 1 0 0 0'"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0\n", 3, "LEVEL: expected 2 fields, got 1"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1 1\n", 3, "LEVEL: expected 2 fields, got 3"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 one\n", 3, "LEVEL: non-integer field"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 -2\n", 4, "negative vertex count -2"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\n", 3, "missing LEVEL 1"),
+    ("BVD 1\nDEPTH 1\nLEVEL 0 1\n# end\n", 4, "missing LEVEL 1"),
+    # after LEVEL K: LABEL and EDGE records only
+    (_DEPTH_1 + "EDGE 1 0 0 0\nDEPTH 1\n", 6, "DEPTH after the last level, LEVEL 1"),
+    (_DEPTH_1 + "LEVEL 1 1\n", 5, "LEVEL after the last level, LEVEL 1"),
+    (_DEPTH_1 + "LABEL 1 0\n", 5, "LABEL: expected level, vertex and quoted string"),
+    (_DEPTH_1 + 'LABEL one 0 "x"\n', 5, "LABEL: non-integer field"),
+    (_DEPTH_1 + 'LABEL 2 0 "x"\n', 5, "LABEL level 2 outside 0..1"),
+    (_DEPTH_1 + 'LABEL -1 0 "x"\n', 5, "LABEL level -1 outside 0..1"),
+    (_DEPTH_1 + 'LABEL 1 1 "x"\n', 5, "LABEL references nonexistent vertex 1 of V_1"),
+    (_DEPTH_1 + 'LABEL 1 -1 "x"\n', 5, "LABEL references nonexistent vertex -1 of V_1"),
+    (_DEPTH_1 + "LABEL 1 0 x\n", 5, "LABEL string must be double-quoted"),
+    (_DEPTH_1 + 'LABEL 1 0 "\n', 5, "LABEL string must be double-quoted"),
+    ("BVD 1\nDEPTH 0\nLEVEL 0 1\nBOGUS\n", 4, "unknown record 'BOGUS'"),
+    (_DEPTH_1 + "EDGE 1 0 0 0\nBOGUS 1\n", 6, "unknown record 'BOGUS'"),
+])
+def test_deserialize_record_errors_pin_line_and_message(text, line, message):
+    with pytest.raises(BVDParseError) as err:
+        deserialize(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 _HEAD = "BVD 1\nDEPTH 2\nLEVEL 0 1\nLEVEL 1 2\nLEVEL 2 2\n"  # lines 1-5
 
 
@@ -420,11 +461,6 @@ _HEAD = "BVD 1\nDEPTH 2\nLEVEL 0 1\nLEVEL 1 2\nLEVEL 2 2\n"  # lines 1-5
     (_HEAD + "EDGE 1 0 0 0 0\n", 6, "EDGE: expected 4 fields, got 5"),
     (_HEAD + "EDGE 1 0 x 0\n", 6, "EDGE: non-integer field"),
     (_HEAD + "EDGE 1 0 0.0 0\n", 6, "EDGE: non-integer field"),
-    ("BVD 1\nEDGE 1 0 0 0\n", 2, "EDGE before DEPTH"),
-    ("BVD 1\nDEPTH 1\nLEVEL 0 1\nEDGE 1 0 0 0\nLEVEL 1 1\n", 4,
-     "EDGE before LEVEL declarations for 1 and 0"),
-    ("BVD 1\nDEPTH 2\nLEVEL 1 1\nEDGE 1 0 0 0\n", 4,
-     "EDGE before LEVEL declarations for 1 and 0"),
     (_HEAD + "EDGE 3 0 0 0\n", 6, "edge level 3 outside 1..2"),
     (_HEAD + "EDGE 0 0 0 0\n", 6, "edge level 0 outside 1..2"),
     (_HEAD + "EDGE 2 2 0 0\n", 6, "EDGE references nonexistent source vertex 2 of V_2"),
@@ -492,13 +528,15 @@ def test_deserialize_reports_the_earlier_of_two_bad_edges():
 
 
 def test_deserialize_reports_edges_of_a_level_declared_late():
+    # the prologue's records come in order, so the record after LEVEL 9 is
+    # reported, not the first edge of level 10
     lines, _ = _example_lines()
     last = lines.index("LEVEL 10 1025")
     lines.append(lines.pop(last))
-    first = next(i for i, s in enumerate(lines) if s.startswith("EDGE 10 "))
+    assert last == 12 and lines[last] == 'LABEL 1 0 "u"'
     with pytest.raises(BVDParseError) as err:
         deserialize("\n".join(lines) + "\n")
-    assert str(err.value) == f"line {first + 1}: EDGE before LEVEL declarations for 10 and 9"
+    assert str(err.value) == "line 13: expected LEVEL 10, got 'LABEL 1 0 \"u\"'"
 
 
 @pytest.mark.parametrize("offset", [4095, 4096, 4097])

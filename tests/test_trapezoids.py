@@ -12,7 +12,7 @@ from bratteli.catalog import example_7_2, odometer
 from bratteli.diagram import Edge, OrderedBratteliDiagram, deserialize, empty_prefix, serialize
 from bratteli.markers import mark_all_rows
 from bratteli.trapezoids import (InsufficientWindowError, Trapezoid, TrapezoidRow,
-                                 WidenSchedule, _extract, _grow_spans, _marker_table,
+                                 WidenSchedule, _extract, _grow_spans, _marker_table, _read_table,
                                  build_diagram, canonical_text, decompose,
                                  dependence_bound, enumerate_level, k_blocks,
                                  longest_read_window, path_to_window, render_trapezoid,
@@ -222,13 +222,18 @@ def test_spans_at_width_one_are_the_trapezoids(k):
 def test_longest_read_window_from_the_rule_reach(widths):
     """Row r is read over ``[-m_r, cw + m_r]``, and the rule decides its bit
     at p from the ``r - 1`` cells left of p and the ``2r - 2`` right of it,
-    so the widest core, ``cw = k``, reads the longest window."""
+    so the widest core, ``cw = k``, reads the longest window: the read
+    table's ``first`` is the same for every core width and ``last - cw``
+    is too."""
     schedule = WidenSchedule(widths)
     for k in range(1, 9):
         margins = [sum(w for w in schedule.widths_below(k) if w >= r) for r in range(1, k + 1)]
         first = min(-m - (r - 1) for r, m in enumerate(margins, start=1))
         last = max(k + m + 2 * r - 2 for r, m in enumerate(margins, start=1))
         assert longest_read_window(k, schedule) == last - first + 1, k
+        for cw in range(1, k + 1):
+            _, _, cw_first, cw_last = _read_table(k, cw, schedule)
+            assert (cw_first, cw_last - cw) == (first, last - k), (k, cw)
 
 
 # (widths, level) -> the longest read window, the least word length the
