@@ -12,9 +12,15 @@ import argparse
 import sys
 
 from . import catalog
-from .diagram import parse_path_spec, read_bvd, serialize, to_dot
+from .diagram import _ints, parse_path_spec, read_bvd, serialize, to_dot
 from .vershik import (image_diameter_profile, interior_witness, is_isolated,
                       maximal_prefixes, minimal_prefixes, orbit)
+
+
+def integer(text: str) -> int:
+    """An integer option, read by the rule of every text the package reads;
+    named so that argparse reports ``invalid integer value``."""
+    return _ints([text])[0]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -121,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-fullshift",
                        help="build the marker-rule diagram of the binary full shift")
-    p.add_argument("--levels", "-k", type=int, default=3, help="levels below the root")
-    p.add_argument("--word-length", "-L", type=int, default=None, dest="word_length",
+    p.add_argument("--levels", "-k", type=integer, default=3, help="levels below the root")
+    p.add_argument("--word-length", "-L", type=integer, default=None, dest="word_length",
                    help="optional: fail unless the top level's read window fits in this many "
                         "cells; changes neither the work nor the output")
     p.add_argument("--widths", default="1", help="comma list of widening rectangle widths")
@@ -132,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("markers", help="marker rows of a binary word")
     p.add_argument("--word", required=True)
-    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--rows", type=integer, required=True)
     p.add_argument("--format", choices=["positions", "text"], default="positions",
                    help="position lists or the pictorial text rendering")
     p.set_defaults(func=cmd_markers)
@@ -140,19 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("successor", help="iterate the successor map along a path prefix")
     p.add_argument("diagram", help="BVD file")
     p.add_argument("path", help="path spec i1/i2/.../iN (edge indices per level)")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=integer, default=0)
     p.set_defaults(func=cmd_successor)
 
     p = sub.add_parser("diagnose", help="extremal-prefix counts, interior witnesses, "
                                         "image-diameter profile")
     p.add_argument("diagram", help="BVD file")
-    p.add_argument("--probe-depth", type=int, default=2, dest="probe_depth")
-    p.add_argument("--steps", type=int, default=8, help="successor steps in the profile")
+    p.add_argument("--probe-depth", type=integer, default=2, dest="probe_depth")
+    p.add_argument("--steps", type=integer, default=8, help="successor steps in the profile")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("catalog", help="emit a reference diagram")
     p.add_argument("name", choices=sorted(catalog.CONSTRUCTORS))
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=integer, default=4)
     p.add_argument("--format", choices=["bvd", "dot"], default="bvd")
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=cmd_catalog)

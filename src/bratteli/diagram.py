@@ -53,6 +53,7 @@ class Edge(NamedTuple):
     target: int
 
 
+_LEVEL = itemgetter(0)
 _SOURCE = itemgetter(1)
 _ORDER = itemgetter(2)
 _TARGET = itemgetter(3)
@@ -65,7 +66,21 @@ def _check_integers(values: Iterable, what: str) -> None:
             raise ValueError(f"{what} has a {t.__name__} field, not an integer")
 
 
-def _runs(edges: tuple[Edge, ...], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
+def _ints(col: list[str]) -> list[int]:
+    """``int`` of each string in ``col``, converting each distinct one once.
+
+    Every text the package reads writes a number as ``str`` writes it, so
+    any other spelling raises ``ValueError``: a sign, an underscore, a
+    non-ASCII digit, a leading zero or ``-0``.
+    """
+    values = {s: int(s) for s in set(col)}
+    # a dict keeps its keys and values in one order
+    if list(map(str, values.values())) != list(values):
+        raise ValueError("a number not written as str writes it")
+    return list(map(values.__getitem__, col))
+
+
+def _runs(edges: Iterable[Edge], key: Callable[[Edge], int], n: int) -> list[tuple[Edge, ...]]:
     """Cut ``edges``, sorted by ``key``, into the run of each key value 0..n-1."""
     runs: list[tuple[Edge, ...]] = [()] * n
     for v, run in groupby(edges, key=key):
@@ -93,28 +108,39 @@ class OrderedBratteliDiagram:
         edges: Iterable[Edge] = (),
         labels: Mapping[tuple[int, int], str] | None = None,
     ):
-        self._sizes = tuple(map(index, level_sizes))
-        if not self._sizes:
+        sizes = tuple(map(index, level_sizes))
+        if not sizes:
             raise ValueError("a diagram needs at least the root level")
-        for k, n in enumerate(self._sizes):
+        for k, n in enumerate(sizes):
             if n < 0:
                 raise ValueError(f"level {k} has negative size {n}")
-        per_level: dict[int, list[Edge]] = {k: [] for k in range(1, len(self._sizes))}
+        per_level: dict[int, list[Edge]] = {k: [] for k in range(1, len(sizes))}
         for e in edges:
             if e.level not in per_level:
-                raise ValueError(f"edge level {e.level!r} outside 1..{self.depth}")
+                raise ValueError(f"edge level {e.level!r} outside 1..{len(sizes) - 1}")
             per_level[e.level].append(e)
         _check_integers(chain.from_iterable(chain.from_iterable(per_level.values())), "an edge")
-        # sorted by (source, order) as two stable sorts on int keys
-        self._edges = tuple(tuple(sorted(sorted(per_level[k], key=_ORDER), key=_SOURCE))
-                            for k in range(1, len(self._sizes)))
-        self._labels = dict(labels or {})
-        _check_integers(chain.from_iterable(self._labels), "a label vertex")
-        for (k, v), text in self._labels.items():
-            if not (0 <= k < len(self._sizes) and 0 <= v < self._sizes[k]):
+        labels = dict(labels or {})
+        _check_integers(chain.from_iterable(labels), "a label vertex")
+        for (k, v), text in labels.items():
+            if not (0 <= k < len(sizes) and 0 <= v < sizes[k]):
                 raise ValueError(f"label on nonexistent vertex {v} of V_{k}")
             if not isinstance(text, str):
                 raise ValueError(f"label of vertex {v} of V_{k} is not a str: {text!r}")
+        self._build(sizes, per_level.values(), labels)
+
+    def _build(self, sizes: tuple[int, ...], per_level: Iterable[Iterable[Edge]],
+               labels: dict[tuple[int, int], str]) -> None:
+        """Fill the tables from the level sizes, the edges of each level
+        1..K and the labels, all checked but for the edge ends, which the
+        sorts here bound for free.  :meth:`__init__` runs this after its
+        checks; :func:`deserialize` runs it alone, as its parse checks every
+        field."""
+        self._sizes = sizes
+        # sorted by (source, order) as two stable sorts on int keys
+        self._edges = tuple(tuple(sorted(sorted(level, key=_ORDER), key=_SOURCE))
+                            for level in per_level)
+        self._labels = labels
         # fan tables: _out[k - 1][v] holds the E_k edges sourced at v in V_k,
         # _in[k - 1][u] those targeting u in V_{k-1}
         self._out: list[list[tuple[Edge, ...]]] = []
@@ -126,11 +152,11 @@ class OrderedBratteliDiagram:
                                        (by_target, _TARGET, k - 1, "targets")):
                 # sorted by key, so the ends hold the least and greatest vertex
                 for e in ends[:1] + ends[-1:]:
-                    if not 0 <= key(e) < self._sizes[j]:
+                    if not 0 <= key(e) < sizes[j]:
                         raise ValueError(
                             f"E_{k} edge {e} {verb} nonexistent vertex {key(e)} of V_{j}")
-            self._out.append(_runs(level_edges, _SOURCE, self._sizes[k]))
-            self._in.append(_runs(by_target, _TARGET, self._sizes[k - 1]))
+            self._out.append(_runs(level_edges, _SOURCE, sizes[k]))
+            self._in.append(_runs(by_target, _TARGET, sizes[k - 1]))
         # Vershik move caches, filled by vershik._step: _moves[0] for the
         # successor, _moves[-1] for the predecessor
         self._moves: tuple[dict, dict] = ({}, {})
@@ -328,7 +354,7 @@ def parse_path_spec(diagram: OrderedBratteliDiagram, spec: str) -> PathPrefix:
     if parts == [""]:
         raise ValueError("empty path spec")
     try:
-        indices = [int(x) for x in parts]
+        indices = _ints(parts)
     except ValueError:
         raise ValueError(f"malformed path spec {spec!r}") from None
     if any(i < 0 for i in indices):
@@ -347,6 +373,9 @@ def parse_path_spec(diagram: OrderedBratteliDiagram, spec: str) -> PathPrefix:
 #   LEVEL <k> <num_vertices>          for k = 0, 1, ..., K in turn
 #   LABEL <k> <vertex> "<string>"     optional, backslash escapes \" \\ \n
 #   EDGE <k> <source> <order> <target>
+#
+# A number is written as ``str`` writes it: ASCII digits, a '-' only before
+# a negative value, no leading zero and no underscore (see _ints).
 
 
 def _escape(s: str) -> str:
@@ -382,7 +411,7 @@ def _int_fields(parts: list[str], n: int, lineno: int, what: str) -> list[int]:
     if len(parts) != n:
         raise BVDParseError(lineno, f"{what}: expected {n} fields, got {len(parts)}")
     try:
-        return [int(x) for x in parts]
+        return _ints(parts)
     except ValueError:
         raise BVDParseError(lineno, f"{what}: non-integer field") from None
 
@@ -392,12 +421,6 @@ _EDGE_SLICE = 4096
 # how a line that extends a run of EDGE lines starts, after leading
 # whitespace; an EDGE line with other whitespace after its tag starts a run
 _EDGE_TAGS = ("EDGE ", "EDGE\t")
-
-
-def _small_ints(col: list[str]) -> list[int]:
-    """``int`` of each string in ``col``, converting each distinct one once."""
-    values = {s: int(s) for s in set(col)}
-    return list(map(values.__getitem__, col))
 
 
 def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
@@ -416,9 +439,7 @@ def _parse_edges(fields: list[str], lineno: int, n: int, depth: int,
     if len(fields) != 5 * n or fields[0::5].count("EDGE") != n:
         raise BVDParseError(lineno, f"EDGE: expected 4 fields, got {len(fields) - 1}")
     try:
-        # levels and orders take few distinct values
-        levels, orders = (_small_ints(fields[j::5]) for j in (1, 3))
-        sources, targets = (list(map(int, fields[j::5])) for j in (2, 4))
+        levels, sources, orders, targets = (_ints(fields[j::5]) for j in range(1, 5))
     except ValueError:
         raise BVDParseError(lineno, "EDGE: non-integer field") from None
     if min(levels) < 1 or max(levels) > depth:
@@ -443,7 +464,9 @@ def deserialize(text: str) -> OrderedBratteliDiagram:
 
     The records come as :func:`serialize` writes them: ``BVD 1``,
     ``DEPTH K`` and ``LEVEL 0`` to ``LEVEL K`` in turn, then ``LABEL``
-    and ``EDGE`` records in any order.
+    and ``EDGE`` records in any order.  A number reads only as ``str``
+    writes it.  The parse checks every field, type and range, so the
+    diagram is built without the constructor's checks and re-checks no type.
 
     Runs of EDGE lines are parsed in bulk; a fault is still reported at the
     first bad line.  The cyclic garbage collector is paused meanwhile: the
@@ -532,7 +555,10 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
             raise BVDParseError(lineno, f"{kind} after the last level, LEVEL {depth}")
         else:
             raise BVDParseError(lineno, f"unknown record {kind!r}")
-    diagram = OrderedBratteliDiagram(sizes, edges, labels)
+    # the parse has checked every field: no constructor checks, no type scan
+    edges.sort(key=_LEVEL)
+    diagram = OrderedBratteliDiagram.__new__(OrderedBratteliDiagram)
+    diagram._build(tuple(sizes), _runs(edges, _LEVEL, depth + 1)[1:], labels)
     violations = diagram.validate()
     if violations:
         raise DiagramValidationError(violations)

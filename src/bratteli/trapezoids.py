@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .diagram import Edge, OrderedBratteliDiagram, PathPrefix
+from .diagram import Edge, OrderedBratteliDiagram, PathPrefix, _ints
 
 if TYPE_CHECKING:  # annotations only: building the diagram never marks a word
     from .markers import GenericMarkerRows, MarkedWord
@@ -52,7 +52,7 @@ class WidenSchedule:
     @classmethod
     def parse(cls, text: str) -> "WidenSchedule":
         try:
-            widths = tuple(int(x) for x in text.split(","))
+            widths = tuple(_ints(text.split(",")))
         except ValueError:
             raise ValueError(f"malformed widths list {text!r}") from None
         return cls(widths)
@@ -132,13 +132,6 @@ def canonical_text(t: Trapezoid) -> str:
     return "\n".join(lines)
 
 
-def _line_ints(fields: list[str], kind: str, line: str) -> list[int]:
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise ValueError(f"malformed {kind} line {line!r}") from None
-
-
 def trapezoid_from_text(text: str) -> Trapezoid:
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("T "):
@@ -146,14 +139,23 @@ def trapezoid_from_text(text: str) -> Trapezoid:
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError(f"malformed T line {lines[0]!r}")
-    level, core_width = _line_ints(head[1:], "T", lines[0])
+    try:
+        level, core_width = _ints(head[1:])
+    except ValueError:
+        raise ValueError(f"malformed T line {lines[0]!r}") from None
     rows = []
     for r, ln in enumerate(lines[1:], start=1):
         parts = ln.split()
         if len(parts) not in (5, 6) or parts[:2] != ["R", str(r)] or parts[4] != "M":
             raise ValueError(f"malformed R line {ln!r}")
         marks = parts[5].split(",") if len(parts) == 6 else []
-        offset, *marks = _line_ints([parts[2], *marks], "R", ln)
+        try:
+            offset, *marks = _ints([parts[2], *marks])
+        except ValueError:
+            raise ValueError(f"malformed R line {ln!r}") from None
+        # canonical_text writes the markers ascending, each once
+        if marks != sorted(set(marks)):
+            raise ValueError(f"malformed R line {ln!r}")
         rows.append(TrapezoidRow(offset, parts[3], frozenset(marks)))
     return Trapezoid(level, core_width, tuple(rows))
 

@@ -24,6 +24,10 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(bratteli.__file__)))
 CLI_ENV = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
+# texts int() reads but str never writes, which every reader refuses: a sign,
+# an underscore, a non-ASCII digit, a leading zero and -0
+RESPELLINGS = ("+1", "1_0", "\u0662", "01", "-0")
+
 
 def oracle_row_positions(word: str, k: int) -> set[int]:
     """Marker rule via lexicographic maxima: a marker sits at n iff the

@@ -106,12 +106,17 @@ def test_successor_negative_steps_is_usage_error(odometer_file):
     assert "--steps must be >= 0" in res.stderr
 
 
-@pytest.mark.parametrize("option,value,message", [
-    ("--steps", "-1", "--steps must be >= 0"),
-    ("--probe-depth", "0", "--probe-depth must be >= 1"),
+@pytest.mark.parametrize("args,message", [
+    (("diagnose", "{odometer}", "--steps", "-1"), "--steps must be >= 0"),
+    (("diagnose", "{odometer}", "--probe-depth", "0"), "--probe-depth must be >= 1"),
+    # an integer option reads only as str writes it
+    (("build-fullshift", "--levels", "+3"), "argument --levels/-k: invalid integer value: '+3'"),
+    (("diagnose", "{odometer}", "--steps", "\u0663"),
+     "argument --steps: invalid integer value: '\u0663'"),
+    (("catalog", "odometer", "--depth", "1_0"), "argument --depth: invalid integer value: '1_0'"),
 ])
-def test_diagnose_bad_options_are_usage_errors(odometer_file, option, value, message):
-    res = run("diagnose", odometer_file, option, value)
+def test_bad_options_are_usage_errors(odometer_file, args, message):
+    res = run(*(a.format(odometer=odometer_file) for a in args))
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("usage:") and message in res.stderr
@@ -123,12 +128,14 @@ BAD_INPUTS = {
     "huge-level-bvd": ("diagnose", "{huge}"),
     "path-letter": ("successor", "{odometer}", "0/x/1"),
     "path-empty": ("successor", "{odometer}", ""),
+    "path-plus": ("successor", "{odometer}", "+1/1/1"),
     "word-not-binary": ("markers", "--word", "012", "--rows", "1"),
     "levels-0": ("build-fullshift", "--levels", "0"),
     "word-length-too-short": ("build-fullshift", "-k", "2", "-L", "3"),
     "word-length-below-top-level": ("build-fullshift", "-k", "7", "-L", "18"),
     "widths-0": ("build-fullshift", "--widths", "0"),
     "widths-not-ints": ("build-fullshift", "--widths", "a,b"),
+    "widths-underscore": ("build-fullshift", "--widths", "1,1_0"),
     "build-out-dir-missing": ("build-fullshift", "-k", "2", "-o", "{missing}"),
     "catalog-depth-1": ("catalog", "example-7-2", "--depth", "1"),
     "out-dir-missing": ("catalog", "odometer", "-o", "{missing}"),
@@ -148,6 +155,9 @@ BAD_INPUT_MESSAGES = {
     "markers-word-too-short":
         "error: word of length 1 too short for row 2: no position is determined\n",
     "depth-0-bvd": "error: the diagram has no levels to diagnose\n",
+    # int() reads both texts, as 1/1/1 and as widths (1, 10)
+    "path-plus": "error: malformed path spec '+1/1/1'\n",
+    "widths-underscore": "error: malformed widths list '1,1_0'\n",
     "huge-level-bvd": "error: out of memory\n",
     # the label on line 5 holds byte 0xff
     "bvd-not-utf8": "error: line 5: byte 0xff is not UTF-8\n",

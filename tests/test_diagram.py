@@ -11,6 +11,7 @@ from bratteli.diagram import (BVDParseError, DiagramValidationError, Edge,
                               OrderedBratteliDiagram, PathPrefix, Violation, deserialize,
                               empty_prefix, parse_path_spec,
                               prefix_from_indices, serialize, to_dot)
+from conftest import RESPELLINGS
 
 
 def test_validate_accepts_catalog_diagrams():
@@ -417,6 +418,7 @@ _DEPTH_1 = "BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n"  # lines 1-4
     ("BVD 1\nDEPTH 1 2\n", 2, "DEPTH: expected 1 fields, got 2"),
     ("BVD 1\nDEPTH one\n", 2, "DEPTH: non-integer field"),
     ("BVD 1\nDEPTH -1\n", 2, "negative depth -1"),
+    *[(f"BVD 1\nDEPTH {s}\n", 2, "DEPTH: non-integer field") for s in RESPELLINGS],
     ("BVD 1\nEDGE 1 0 0 0\n", 2, "expected DEPTH, got 'EDGE 1 0 0 0'"),
     ("BVD 1\nLEVEL 0 1\n", 2, "expected DEPTH, got 'LEVEL 0 1'"),
     ('BVD 1\n# note\nLABEL 0 0 "r"\n', 3, "expected DEPTH, got 'LABEL 0 0 \"r\"'"),
@@ -429,6 +431,8 @@ _DEPTH_1 = "BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n"  # lines 1-4
     ("BVD 1\nDEPTH 1\nLEVEL 0\n", 3, "LEVEL: expected 2 fields, got 1"),
     ("BVD 1\nDEPTH 1\nLEVEL 0 1 1\n", 3, "LEVEL: expected 2 fields, got 3"),
     ("BVD 1\nDEPTH 1\nLEVEL 0 one\n", 3, "LEVEL: non-integer field"),
+    *[(f"BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 {s}\n", 4, "LEVEL: non-integer field")
+      for s in RESPELLINGS],
     ("BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 -2\n", 4, "negative vertex count -2"),
     ("BVD 1\nDEPTH 1\nLEVEL 0 1\n", 3, "missing LEVEL 1"),
     ("BVD 1\nDEPTH 1\nLEVEL 0 1\n# end\n", 4, "missing LEVEL 1"),
@@ -437,6 +441,7 @@ _DEPTH_1 = "BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n"  # lines 1-4
     (_DEPTH_1 + "LEVEL 1 1\n", 5, "LEVEL after the last level, LEVEL 1"),
     (_DEPTH_1 + "LABEL 1 0\n", 5, "LABEL: expected level, vertex and quoted string"),
     (_DEPTH_1 + 'LABEL one 0 "x"\n', 5, "LABEL: non-integer field"),
+    *[(_DEPTH_1 + f'LABEL 1 {s} "x"\n', 5, "LABEL: non-integer field") for s in RESPELLINGS],
     (_DEPTH_1 + 'LABEL 2 0 "x"\n', 5, "LABEL level 2 outside 0..1"),
     (_DEPTH_1 + 'LABEL -1 0 "x"\n', 5, "LABEL level -1 outside 0..1"),
     (_DEPTH_1 + 'LABEL 1 1 "x"\n', 5, "LABEL references nonexistent vertex 1 of V_1"),
@@ -461,6 +466,13 @@ _HEAD = "BVD 1\nDEPTH 2\nLEVEL 0 1\nLEVEL 1 2\nLEVEL 2 2\n"  # lines 1-5
     (_HEAD + "EDGE 1 0 0 0 0\n", 6, "EDGE: expected 4 fields, got 5"),
     (_HEAD + "EDGE 1 0 x 0\n", 6, "EDGE: non-integer field"),
     (_HEAD + "EDGE 1 0 0.0 0\n", 6, "EDGE: non-integer field"),
+    # each spelling in a column of its own, and -0 in a second one
+    (_HEAD + "EDGE +1 0 0 0\n", 6, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 1 1_0 0 0\n", 6, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 1 0 \u0662 0\n", 6, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 1 0 0 01\n", 6, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 1 -0 0 0\n", 6, "EDGE: non-integer field"),
+    (_HEAD + "EDGE 2 1 0 -0\n", 6, "EDGE: non-integer field"),
     (_HEAD + "EDGE 3 0 0 0\n", 6, "edge level 3 outside 1..2"),
     (_HEAD + "EDGE 0 0 0 0\n", 6, "edge level 0 outside 1..2"),
     (_HEAD + "EDGE 2 2 0 0\n", 6, "EDGE references nonexistent source vertex 2 of V_2"),
@@ -501,6 +513,8 @@ def _example_lines():
 @pytest.mark.parametrize("bad,message", [
     ("EDGE 9 0 0", "EDGE: expected 4 fields, got 3"),
     ("EDGE 9 0 zero 0", "EDGE: non-integer field"),
+    # in a run of 4,109 EDGE lines: the re-parse line by line names this one
+    ("EDGE 9 510 1 0255", "EDGE: non-integer field"),
     ("EDGE 11 0 0 0", "edge level 11 outside 1..10"),
     ("EDGE 9 100000 0 0", "EDGE references nonexistent source vertex 100000 of V_9"),
     ("EDGE 9 0 0 100000", "EDGE references nonexistent target vertex 100000 of V_8"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli.catalog import CONSTRUCTORS
-from bratteli.diagram import (Edge, OrderedBratteliDiagram, PathPrefix,
+from bratteli.diagram import (BVDParseError, Edge, OrderedBratteliDiagram, PathPrefix,
                               deserialize, serialize)
 from bratteli.vershik import (extension_count, image_diameter_profile,
                               is_isolated, is_minimal_prefix, maximal_prefixes,
@@ -215,3 +215,41 @@ def test_labelled_random_diagrams_round_trip_or_are_refused(rng, triples, swap):
         return
     assert not refused
     assert deserialize(serialize(labelled)).structurally_equal(labelled)
+
+
+def respellings(n: int) -> list[str]:
+    """Texts that ``int`` reads as ``n >= 0`` but ``str`` never writes."""
+    s = str(n)
+    # the last with Arabic-Indic digits, U+0660 to U+0669
+    out = ["+" + s, "0" + s, "".join(chr(0x660 + int(c)) for c in s)]
+    if n == 0:
+        out.append("-0")
+    if len(s) > 1:
+        out.append(s[0] + "_" + s[1:])
+    return out
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False))
+def test_a_respelled_integer_field_is_refused_at_its_line(rng):
+    # one integer field of a random labelled diagram's BVD, spelled so that
+    # int() reads the same value; the writer's own text still reads back
+    d = random_diagram(rng, depth=rng.randint(1, 4))
+    k = rng.randint(0, d.depth)
+    edges = [e for j in range(1, d.depth + 1) for e in d.edges_at(j)]
+    d = OrderedBratteliDiagram(d.level_sizes, edges, {(k, rng.randrange(d.level_size(k))): "x"})
+    text = serialize(d)
+    assert deserialize(text).structurally_equal(d)
+    lines = text.split("\n")
+    lineno = rng.choice([i for i, line in enumerate(lines, start=1)
+                         if line.split(" ", 1)[0] in ("DEPTH", "LEVEL", "LABEL", "EDGE")])
+    fields = lines[lineno - 1].split(" ")
+    # a LABEL's third field is its quoted text
+    j = rng.randint(1, 2 if fields[0] == "LABEL" else len(fields) - 1)
+    spelling = rng.choice(respellings(int(fields[j])))
+    assert int(spelling) == int(fields[j])
+    fields[j] = spelling
+    lines[lineno - 1] = " ".join(fields)
+    with pytest.raises(BVDParseError) as err:
+        deserialize("\n".join(lines))
+    assert str(err.value) == f"line {lineno}: {fields[0]}: non-integer field"

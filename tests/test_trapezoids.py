@@ -18,7 +18,7 @@ from bratteli.trapezoids import (InsufficientWindowError, Trapezoid, TrapezoidRo
                                  longest_read_window, path_to_window, render_trapezoid,
                                  trapezoid_at, trapezoid_from_text, window_shift_mismatches)
 from bratteli.vershik import all_prefixes, is_maximal_prefix, successor
-from conftest import CLI, CLI_ENV
+from conftest import CLI, CLI_ENV, RESPELLINGS
 
 W1 = WidenSchedule((1,))
 
@@ -363,6 +363,12 @@ def test_trapezoid_from_text_rejects_renumbered_rows():
     ("T a 1\nR 1 0 0 M 0,1", "malformed T line 'T a 1'"),
     ("T 1 1\nR 1 x 0 M 0,1", "malformed R line 'R 1 x 0 M 0,1'"),
     ("T 1 1\nR 1 0 0 M 0,,1", "malformed R line 'R 1 0 0 M 0,,1'"),
+    # spellings int() reads but str never writes
+    *[(f"T 1 {s}\nR 1 0 0 M 0,1", f"malformed T line 'T 1 {s}'") for s in RESPELLINGS],
+    *[(f"T 1 1\nR 1 {s} 0 M 0,1", f"malformed R line 'R 1 {s} 0 M 0,1'") for s in RESPELLINGS],
+    # canonical_text writes the markers ascending, each once
+    ("T 1 1\nR 1 0 0 M 1,0", "malformed R line 'R 1 0 0 M 1,0'"),
+    ("T 1 1\nR 1 0 0 M 0,0,1", "malformed R line 'R 1 0 0 M 0,0,1'"),
 ])
 def test_trapezoid_from_text_names_the_line_of_a_non_integer(text, message):
     # the line, not Python's "invalid literal for int()"
