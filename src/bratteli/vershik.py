@@ -35,15 +35,15 @@ def is_minimal_prefix(p: PathPrefix) -> bool:
     return all(e.order == 0 for e in p.edges)
 
 
-def _walk_up(diagram: OrderedBratteliDiagram, edges: list, level: int, v: int,
-             pick: int) -> None:
-    """Fill ``edges[:level]`` with the path from vertex ``v`` of V_level up to
-    the root that takes the fan entry at ``pick`` (0 = minimal, -1 = maximal)
-    at each level."""
+def _chain(diagram: OrderedBratteliDiagram, level: int, v: int, pick: int) -> tuple[Edge, ...]:
+    """The path from the root down to vertex ``v`` of V_level that takes the
+    fan entry at ``pick`` (0 = minimal, -1 = maximal) at each level."""
     fans = diagram._out  # validated diagrams only: no range checks per level
+    edges: list = [None] * level
     for j in range(level - 1, -1, -1):
         e = edges[j] = fans[j][v][pick]
         v = e.target
+    return tuple(edges)
 
 
 def _move(d: OrderedBratteliDiagram, e: Edge, delta: int, pick: int) -> tuple[Edge, ...] | None:
@@ -55,10 +55,7 @@ def _move(d: OrderedBratteliDiagram, e: Edge, delta: int, pick: int) -> tuple[Ed
     if not 0 <= e.order + delta < len(fan):
         return None
     moved = fan[e.order + delta]
-    edges: list = [None] * e.level
-    edges[-1] = moved
-    _walk_up(d, edges, e.level - 1, moved.target, pick)
-    return tuple(edges)
+    return _chain(d, e.level - 1, moved.target, pick) + (moved,)
 
 
 def _step(p: PathPrefix, delta: int, pick: int) -> PathPrefix | None:
@@ -105,12 +102,8 @@ def _extremal_prefixes(diagram: OrderedBratteliDiagram, depth: int, pick: int) -
     distinct, since their deep vertices differ."""
     if not 1 <= depth <= diagram.depth:
         raise ValueError(f"depth {depth} outside 1..{diagram.depth}")
-    out = []
-    edges: list = [None] * depth
-    for v in range(diagram.level_size(depth)):
-        _walk_up(diagram, edges, depth, v, pick)
-        out.append(PathPrefix(diagram, tuple(edges)))
-    return out
+    return [PathPrefix(diagram, _chain(diagram, depth, v, pick))
+            for v in range(diagram.level_size(depth))]
 
 
 def maximal_prefixes(diagram: OrderedBratteliDiagram, depth: int) -> set[PathPrefix]:
@@ -166,21 +159,15 @@ def orbit(p: PathPrefix, steps: int) -> list[PathPrefix]:
 
 def prefix_set_diameter(prefixes) -> float:
     """Diameter under d(x, y) = 2^-(shared initial edges); 0 for at most one
-    element."""
-    ps = list(prefixes)
-    if len(ps) <= 1:
+    element.  Reads ``prefixes`` once, so any iterable will do.
+
+    Every edge tuple lies between the lexicographically least and greatest,
+    so all of them share the initial edges those two share, and no more."""
+    paths = [p.edges for p in prefixes]
+    if len(paths) <= 1:
         return 0.0
-    # two prefixes share at least the lesser of what each shares with the
-    # first, so the least over all pairs is the least against the first
-    first = ps[0].edges
-    shared = len(first)
-    for p in ps[1:]:
-        edges = p.edges
-        shared = min(shared, len(edges))
-        while edges[:shared] != first[:shared]:
-            shared -= 1
-        if shared == 0:
-            break
+    lo, hi = min(paths), max(paths)
+    shared = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), len(lo))
     return 2.0 ** (-shared)
 
 

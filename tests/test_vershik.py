@@ -162,6 +162,18 @@ def test_interior_witness_at_depth_1500():
         assert interior_witness(odo, side, 1, 1499) == []
 
 
+def test_successor_carries_through_depth_1500():
+    # the extremal chain above a moving edge is built in a loop, so a carry
+    # across 1,499 levels stays within the recursion limit
+    d = odometer(1500)
+    p = prefix_from_indices(d, [1] * 1499 + [0])
+    nxt = successor(p)
+    assert nxt.indices() == (0,) * 1499 + (1,)
+    assert predecessor(nxt) == p
+    (top,) = maximal_prefixes(d, 1500)
+    assert successor(top) is None
+
+
 def test_interior_witness_argument_errors():
     with pytest.raises(ValueError):
         interior_witness(odometer(3), "sideways", 1, 1)
@@ -187,8 +199,13 @@ def test_prefix_set_diameter():
         [one, one],  # a list, not a set: two equal depth-2 prefixes
     ]
     for ps in cases:
-        assert prefix_set_diameter(ps) == oracle_prefix_set_diameter(ps)
+        want = prefix_set_diameter(ps)
+        assert want == oracle_prefix_set_diameter(ps)
+        # one pass over the argument: a one-shot iterator reads the same
+        assert prefix_set_diameter(iter(ps)) == want
     assert [prefix_set_diameter(ps) for ps in cases] == [0.25, 0.5, 0.5, 1.0, 0.25]
+    # a set drops the duplicate of the last case, leaving one prefix
+    assert [prefix_set_diameter(set(ps)) for ps in cases] == [0.25, 0.5, 0.5, 1.0, 0.0]
 
 
 def test_profile_odometer_singleton():
