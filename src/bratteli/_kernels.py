@@ -1,39 +1,32 @@
-"""The domination marker rule, and the reference window scan.
+"""The domination marker rule, the word-space sweep, and the reference window scan.
 
 Domination on k-blocks is unsigned-integer ``>=`` on their k-bit values, so
 the rule is a sliding-window maximum: with ``v[j]`` the value of the block
 starting at ``j`` and ``M[i] = max(v[i..i+k-1])``, a row-k marker sits at
 ``n`` exactly when ``v[n] == M[i]`` for some ``i`` in ``n-k+1..n``.
-:func:`window_max_marks` is the package's only implementation of the rule.
-
-:func:`enumerate_block_window_keys` marks every binary window a block of
-some level can have and keeps those whose core is one block.  It is the
-reference enumeration that tests and the traced benchmark compare
-``trapezoids.enumerate_level`` with.  A key packs ``core_width << 48 |
-window_bits`` into int64.
+:func:`window_max_marks` is the package's only implementation of the rule,
+and :func:`marked_words` the only loop over all words of a length, which it
+marks ``_CHUNK`` at a time.  :func:`enumerate_block_window_keys`, the
+reference enumeration, marks every binary window a block of some level can
+have and keeps those whose core is one block; tests and the traced
+benchmark compare ``trapezoids.enumerate_level`` with it.  A key packs
+``core_width << 48 | window_bits`` into int64.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 _KEY_SHIFT = 48
+_CHUNK = 1 << 16  # words marked at once
 
 
 def determined_range(length: int, k: int) -> tuple[int, int]:
     """Positions whose row-k marker bit a word of ``length`` cells decides:
     ``[k-1, length-2k+1]``; the bit at ``n`` reads cells ``n-k+1 .. n+2k-2``."""
     return (k - 1, length - 2 * k + 1)
-
-
-def block_values(words: np.ndarray, length: int, k: int) -> np.ndarray:
-    """``(length-k+1, N)`` k-block values of int words in the narrowest unsigned
-    dtype; row ``j`` is the block at cell ``j`` (cell 0 is the top bit)."""
-    mask = (1 << k) - 1
-    v = np.empty((length - k + 1, words.size), dtype=np.min_scalar_type(mask))
-    for j in range(length - k + 1):
-        np.bitwise_and(words >> (length - k - j), mask, out=v[j], casting="unsafe")
-    return v
 
 
 def window_max_marks(v: np.ndarray, k: int) -> np.ndarray:
@@ -55,18 +48,24 @@ def window_max_marks(v: np.ndarray, k: int) -> np.ndarray:
     return marks
 
 
-def marker_rows(words: np.ndarray, length: int, k: int) -> np.ndarray:
-    """Row-k marker bits of int words of ``length`` cells (see :func:`window_max_marks`)."""
-    return window_max_marks(block_values(words, length, k), k)
+def marked_words(length: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every int word of ``length`` cells (cell 0 is the top bit), ascending and
+    ``_CHUNK`` at a time, as ``(words, marks)``: marks from :func:`window_max_marks`."""
+    mask = (1 << k) - 1
+    for first in range(0, 1 << length, _CHUNK):
+        words = np.arange(first, min(first + _CHUNK, 1 << length), dtype=np.int64)
+        v = np.empty((length - k + 1, words.size), dtype=np.min_scalar_type(mask))
+        for j in range(length - k + 1):  # row j: the k-block at cell j
+            np.bitwise_and(words >> (length - k - j), mask, out=v[j], casting="unsafe")
+        yield words, window_max_marks(v, k)
 
 
-def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: int,
-                                chunk_size: int = 1 << 16) -> np.ndarray:
+def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: int) -> np.ndarray:
     """Sorted keys of the windows, for core widths 1..k, of ``wlen =
     core_width + pad_left + pad_right + 1`` cells with row-k markers at
-    ``pad_left`` and ``pad_left + core_width`` and none between, marked
-    ``chunk_size`` words at a time.  ``length`` must hold the longest
-    window; the keys do not depend on it."""
+    ``pad_left`` and ``pad_left + core_width`` and none between, marked by
+    :func:`marked_words`.  ``length`` must hold the longest window; the keys
+    do not depend on it."""
     if length < k + pad_left + pad_right + 1:
         raise ValueError(f"word length {length} is shorter than the longest window, "
                          f"{k + pad_left + pad_right + 1} cells")
@@ -75,9 +74,7 @@ def enumerate_block_window_keys(length: int, k: int, pad_left: int, pad_right: i
         wlen = cw + pad_left + pad_right + 1
         lo, _ = determined_range(wlen, k)
         s, e = pad_left - lo, pad_left + cw - lo  # rows of ``marks`` at the core ends
-        for first in range(0, 1 << wlen, chunk_size):
-            words = np.arange(first, min(first + chunk_size, 1 << wlen), dtype=np.int64)
-            marks = marker_rows(words, wlen, k)
+        for words, marks in marked_words(wlen, k):
             sel = marks[s] & marks[e] & ~marks[s + 1:e].any(axis=0)
             parts.append(words[sel] | np.int64(cw) << _KEY_SHIFT)
     return np.concatenate(parts)

@@ -42,8 +42,9 @@ def test_marker_rule_matches_oracle(k):
     for word in long_words(k):
         assert row_markers(word, k).positions == oracle_row_positions(word, k), (word, k)
     for length in range(3 * k - 2, 13):
-        words = np.arange(1 << length, dtype=np.int64)
-        marks = _kernels.marker_rows(words, length, k)
+        words, marks = (np.concatenate(parts, axis=-1)
+                        for parts in zip(*_kernels.marked_words(length, k)))
+        assert np.array_equal(words, np.arange(1 << length))
         lo, hi = k - 1, length - 2 * k + 1
         assert marks.shape == (hi - lo + 1, words.size)
         for w in range(1 << length):
@@ -88,10 +89,11 @@ def test_word_length_is_a_lower_bound(k, widths):
         _kernels.enumerate_block_window_keys(min_len - 1, k, pad_left, pad_right)
 
 
-def test_chunking_does_not_change_keys():
+def test_chunking_does_not_change_keys(monkeypatch):
     pad_left, pad_right, _ = dependence_bound(2, WidenSchedule((1,)))
-    whole = _kernels.enumerate_block_window_keys(10, 2, pad_left, pad_right, chunk_size=1 << 20)
-    tiny = _kernels.enumerate_block_window_keys(10, 2, pad_left, pad_right, chunk_size=37)
+    whole = _kernels.enumerate_block_window_keys(10, 2, pad_left, pad_right)
+    monkeypatch.setattr(_kernels, "_CHUNK", 37)  # the longest window, 2^9 words, in 14 chunks
+    tiny = _kernels.enumerate_block_window_keys(10, 2, pad_left, pad_right)
     assert np.array_equal(whole, tiny)
 
 
