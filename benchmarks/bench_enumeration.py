@@ -21,10 +21,10 @@ With ``--build K`` it also runs ``bratteli build-fullshift -k K`` once in a
 child process and records its wall time, its peak RSS (``ru_maxrss`` from
 ``os.wait4`` in a small launcher process), its level sizes and the sha256
 of the BVD it writes.  At widths ``1`` and a K that ``tests/test_trapezoids.py``
-pins a digest for in ``BVD_DIGESTS`` or that is 9 (pinned here only: the
-build takes over a minute, too long for the tests), or at K = 4 and a
-schedule it pins in ``WIDE_BVD_DIGESTS``, that sha256 must equal the digest,
-or the benchmark exits 1.
+pins a digest for in ``BVD_DIGESTS``, at K = 4 and a schedule it pins in
+``WIDE_BVD_DIGESTS``, or at widths ``1`` and K = 9 (pinned here only, as that
+build takes over a minute), that sha256 must equal the digest, or the
+benchmark exits 1.
 
     python benchmarks/bench_enumeration.py --levels 3
     python benchmarks/bench_enumeration.py --levels 6 --build 7 --json BENCH_enumeration.json

@@ -481,13 +481,13 @@ def test_build_diagram_bvd_digest_wide_schedules(widths):
 def test_build_diagram_builds_each_marker_table_once(monkeypatch):
     # rows up to 6 fit one default chunk; in 37-word chunks the tables of
     # rows 3-6 (2^7 to 2^16 words) cross chunk boundaries
-    rows, chunk_sizes = [], []
+    rows, sizes = [], []
     marked_words = _kernels.marked_words
 
     def counted(length, k):
         rows.append(k)
         for words, marks in marked_words(length, k):
-            chunk_sizes.append(words.size)
+            sizes.append(words.size)
             yield words, marks
 
     monkeypatch.setattr(_kernels, "marked_words", counted)
@@ -499,7 +499,7 @@ def test_build_diagram_builds_each_marker_table_once(monkeypatch):
         _marker_table.cache_clear()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BVD_DIGESTS[6]
     assert sorted(rows) == [1, 2, 3, 4, 5, 6]
-    assert max(chunk_sizes) <= 37
+    assert max(sizes) <= 37
 
 
 def test_fullshift_extremal_prefix_counts(fullshift3):
