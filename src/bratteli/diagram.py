@@ -13,7 +13,7 @@ import gc
 import re
 from bisect import bisect_left
 from itertools import chain, groupby, repeat, takewhile
-from operator import ge, index, itemgetter
+from operator import attrgetter, ge, index, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 
@@ -53,7 +53,9 @@ class Edge(NamedTuple):
     target: int
 
 
-_LEVEL = itemgetter(0)
+# by name, so sorting by level touches every edge as an Edge: a plain tuple
+# among them fails there, not later in serialize
+_LEVEL = attrgetter("level")
 _SOURCE = itemgetter(1)
 _ORDER = itemgetter(2)
 _TARGET = itemgetter(3)
@@ -72,6 +74,13 @@ def _ints(col: list[str]) -> list[int]:
     Every text the package reads writes a number as ``str`` writes it, so
     any other spelling raises ``ValueError``: a sign, an underscore, a
     non-ASCII digit, a leading zero or ``-0``.
+
+    That check round-trips a string through ``str``, and the dedup makes it
+    do so once per distinct string.  On the reader's 4,096-line EDGE slices
+    the level and order columns hold about two distinct strings each, so
+    ``list(map(int, col))`` with a round trip of every value made
+    ``deserialize`` of the depth-14 example 7.2 about 25% slower; only the
+    source column, whose strings come about twice each, breaks even.
     """
     values = {s: int(s) for s in set(col)}
     # a dict keeps its keys and values in one order
@@ -97,9 +106,11 @@ class OrderedBratteliDiagram:
     ``(source, order)``, takes each level size through ``operator.index``,
     and raises ``ValueError`` for what its fan tables or BVD text cannot
     hold: a negative level size, an edge field or label vertex that is a
-    bool or no integer, an edge level outside 1..K, an edge end outside its
-    level, or a label off the diagram or not a ``str``.  The Bratteli axioms
-    are left to :meth:`validate`.
+    bool or no integer, an edge level outside 1..K (the least one is
+    named), an edge end outside its level, or a label off the diagram or
+    not a ``str``.  Type checks come before range checks, so an edge with a
+    ``str`` level is refused for its type.  The Bratteli axioms are left to
+    :meth:`validate`.
     """
 
     def __init__(
@@ -114,12 +125,8 @@ class OrderedBratteliDiagram:
         for k, n in enumerate(sizes):
             if n < 0:
                 raise ValueError(f"level {k} has negative size {n}")
-        per_level: dict[int, list[Edge]] = {k: [] for k in range(1, len(sizes))}
-        for e in edges:
-            if e.level not in per_level:
-                raise ValueError(f"edge level {e.level!r} outside 1..{len(sizes) - 1}")
-            per_level[e.level].append(e)
-        _check_integers(chain.from_iterable(chain.from_iterable(per_level.values())), "an edge")
+        edges = list(edges)
+        _check_integers(chain.from_iterable(edges), "an edge")
         labels = dict(labels or {})
         _check_integers(chain.from_iterable(labels), "a label vertex")
         for (k, v), text in labels.items():
@@ -127,19 +134,23 @@ class OrderedBratteliDiagram:
                 raise ValueError(f"label on nonexistent vertex {v} of V_{k}")
             if not isinstance(text, str):
                 raise ValueError(f"label of vertex {v} of V_{k} is not a str: {text!r}")
-        self._build(sizes, per_level.values(), labels)
+        self._build(sizes, edges, labels)
 
-    def _build(self, sizes: tuple[int, ...], per_level: Iterable[Iterable[Edge]],
+    def _build(self, sizes: tuple[int, ...], edges: Iterable[Edge],
                labels: dict[tuple[int, int], str]) -> None:
-        """Fill the tables from the level sizes, the edges of each level
-        1..K and the labels, all checked but for the edge ends, which the
-        sorts here bound for free.  :meth:`__init__` runs this after its
-        checks; :func:`deserialize` runs it alone, as its parse checks every
-        field."""
+        """Fill the tables from the level sizes, the edges of all levels in
+        any order and the labels, all checked but for the edge levels and
+        ends, which the sorts here bound for free.  :meth:`__init__` runs
+        this after its checks; :func:`deserialize` runs it alone, as its
+        parse checks every field."""
         self._sizes = sizes
-        # sorted by (source, order) as two stable sorts on int keys
-        self._edges = tuple(tuple(sorted(sorted(level, key=_ORDER), key=_SOURCE))
-                            for level in per_level)
+        # sorted by (level, source, order) as three stable sorts on int keys
+        edges = sorted(sorted(sorted(edges, key=_ORDER), key=_SOURCE), key=_LEVEL)
+        # sorted by level, so the ends hold the least and greatest level
+        if edges and not 1 <= edges[0].level <= edges[-1].level < len(sizes):
+            k = next(e.level for e in edges if not 1 <= e.level < len(sizes))
+            raise ValueError(f"edge level {k} outside 1..{len(sizes) - 1}")
+        self._edges = tuple(_runs(edges, _LEVEL, len(sizes))[1:])
         self._labels = labels
         # fan tables: _out[k - 1][v] holds the E_k edges sourced at v in V_k,
         # _in[k - 1][u] those targeting u in V_{k-1}
@@ -389,10 +400,12 @@ def _unescape(s: str, line: int) -> str:
     def one(m: re.Match) -> str:
         if m[1] in _UNESCAPES:
             return _UNESCAPES[m[1]]
+        if m[0] == '"':  # serialize escapes every quote; a bare one would join two strings
+            raise BVDParseError(line, "unescaped quote in label")
         raise BVDParseError(line, f"unknown escape \\{m[1]}" if m[1]
                             else "dangling backslash in label")
 
-    return re.sub(r"\\(.?)", one, s, flags=re.S)
+    return re.sub(r'\\(.?)|"', one, s, flags=re.S)
 
 
 def serialize(diagram: OrderedBratteliDiagram) -> str:
@@ -534,6 +547,8 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
                 raise BVDParseError(lineno, f"LABEL level {k} outside 0..{depth}")
             if not 0 <= v < sizes[k]:
                 raise BVDParseError(lineno, f"LABEL references nonexistent vertex {v} of V_{k}")
+            if (k, v) in labels:
+                raise BVDParseError(lineno, f"duplicate LABEL for vertex {v} of V_{k}")
             quoted = head[3].strip()
             if len(quoted) < 2 or not quoted.startswith('"') or not quoted.endswith('"'):
                 raise BVDParseError(lineno, "LABEL string must be double-quoted")
@@ -556,9 +571,8 @@ def _read_bvd(text: str) -> OrderedBratteliDiagram:
         else:
             raise BVDParseError(lineno, f"unknown record {kind!r}")
     # the parse has checked every field: no constructor checks, no type scan
-    edges.sort(key=_LEVEL)
     diagram = OrderedBratteliDiagram.__new__(OrderedBratteliDiagram)
-    diagram._build(tuple(sizes), _runs(edges, _LEVEL, depth + 1)[1:], labels)
+    diagram._build(tuple(sizes), edges, labels)
     violations = diagram.validate()
     if violations:
         raise DiagramValidationError(violations)

@@ -74,8 +74,14 @@ E = Edge
     ([1, 1], [E(1, 0, 0.0, 0)], None, "an edge has a float field, not an integer"),
     ([1, 1], [E(1, 0.5, 0, 0)], None, "an edge has a float field, not an integer"),
     ([1, 1], [E(1.0, 0, 0, 0)], None, "an edge has a float field, not an integer"),
-    # a level that matches no level is named as it is
-    ([1, 1], [E("1", 0, 0, 0)], None, "edge level '1' outside 1..1"),
+    # types are checked before ranges, so a str level is refused as a type
+    ([1, 1], [E("1", 0, 0, 0)], None, "an edge has a str field, not an integer"),
+    ([1, 1], [E(1, 0, 0, 0), E(2, 0, 0, 0)], None, "edge level 2 outside 1..1"),
+    ([1, 1], [E(1, 0, 0, 0), E(0, 0, 0, 0)], None, "edge level 0 outside 1..1"),
+    ([1], [E(1, 0, 0, 0)], None, "edge level 1 outside 1..0"),
+    # of several bad levels the least is named, wherever it stands
+    ([1, 1], [E(7, 0, 0, 0), E(1, 0, 0, 0), E(3, 0, 0, 0)], None, "edge level 3 outside 1..1"),
+    ([1, 1], [E(3, 0, 0, 0), E(1, 0, 0, 0), E(-2, 0, 0, 0)], None, "edge level -2 outside 1..1"),
     # a str order would otherwise fail the sort with a TypeError
     ([1, 1], [E(1, 0, 0, 0), E(1, 0, "1", 0)], None, "an edge has a str field, not an integer"),
 ])
@@ -92,6 +98,11 @@ def test_level_sizes_go_through_operator_index():
             OrderedBratteliDiagram([1, size], [E(1, 0, 0, 0)])
     d = OrderedBratteliDiagram([1, True], [E(1, 0, 0, 0)])
     assert d.level_sizes == (1, 1) and type(d.level_sizes[1]) is int
+
+
+def test_an_edge_that_is_no_edge_is_refused_wherever_it_stands():
+    with pytest.raises(AttributeError, match="level"):
+        OrderedBratteliDiagram([1, 3], [E(1, 0, 0, 0), (1, 1, 0, 0), E(1, 2, 0, 0)])
 
 
 def test_other_integer_types_are_accepted_and_round_trip():
@@ -247,6 +258,12 @@ def test_deserialize_reports_line_numbers():
     ('"a\\x"', "unknown escape \\x"),
     ('"\\n\\t"', "unknown escape \\t"),
     ('"\\q\\"', "unknown escape \\q"),
+    # serialize writes every quote as \", so a bare one is refused
+    ('"a" "b"', "unescaped quote in label"),
+    ('""""', "unescaped quote in label"),
+    ('"a\\\\"b"', "unescaped quote in label"),
+    ('"a"b\\x"', "unescaped quote in label"),
+    ('"\\xa"b"', "unknown escape \\x"),
 ])
 def test_deserialize_reports_bad_label_escapes(label, message):
     text = f"BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\nEDGE 1 0 0 0\n\nLABEL 1 0 {label}\n"
@@ -446,6 +463,9 @@ _DEPTH_1 = "BVD 1\nDEPTH 1\nLEVEL 0 1\nLEVEL 1 1\n"  # lines 1-4
     (_DEPTH_1 + 'LABEL -1 0 "x"\n', 5, "LABEL level -1 outside 0..1"),
     (_DEPTH_1 + 'LABEL 1 1 "x"\n', 5, "LABEL references nonexistent vertex 1 of V_1"),
     (_DEPTH_1 + 'LABEL 1 -1 "x"\n', 5, "LABEL references nonexistent vertex -1 of V_1"),
+    (_DEPTH_1 + 'LABEL 1 0 "x"\nEDGE 1 0 0 0\nLABEL 1 0 "y"\n', 7,
+     "duplicate LABEL for vertex 0 of V_1"),
+    (_DEPTH_1 + 'LABEL 0 0 "x"\nLABEL 0 0 "x"\n', 6, "duplicate LABEL for vertex 0 of V_0"),
     (_DEPTH_1 + "LABEL 1 0 x\n", 5, "LABEL string must be double-quoted"),
     (_DEPTH_1 + 'LABEL 1 0 "\n', 5, "LABEL string must be double-quoted"),
     ("BVD 1\nDEPTH 0\nLEVEL 0 1\nBOGUS\n", 4, "unknown record 'BOGUS'"),

@@ -183,6 +183,28 @@ def test_built_fans_partition_each_level(fullshift3):
     assert_fans_partition(fullshift3)
 
 
+def assert_reader_builds_the_same_tables(d: OrderedBratteliDiagram) -> None:
+    """The constructor and the BVD reader fill the edge and fan tables alike."""
+    read = deserialize(serialize(d))
+    assert read._edges == d._edges and read._out == d._out and read._in == d._in
+    assert {type(e) for e in chain.from_iterable(read._edges + d._edges)} <= {Edge}
+
+
+@pytest.mark.parametrize("name,make", sorted(CONSTRUCTORS.items()))
+def test_catalog_tables_match_the_read_back_ones(name, make):
+    assert_reader_builds_the_same_tables(make(6))
+
+
+def test_built_tables_match_the_read_back_ones(fullshift3):
+    assert_reader_builds_the_same_tables(fullshift3)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_tables_match_the_read_back_ones(seed):
+    rng = random.Random(seed)
+    assert_reader_builds_the_same_tables(random_diagram(rng, depth=rng.randint(2, 4)))
+
+
 # values that compare equal to, or between, integers but whose BVD text is none
 non_integers = st.sampled_from([0.0, 1.0, 0.5, True, False])
 
