@@ -20,10 +20,8 @@ from .vershik import (ProfilePoint, all_prefixes, extension_count,
 
 # name -> module of the names loaded on first use (PEP 562 __getattr__)
 _LAZY = {
-    **dict.fromkeys(("GenericMarkerRows", "MarkedWord", "MarkerRow", "dominates",
-                     "fill_outside_forbidden", "infinite_order_positions",
-                     "mark_all_rows", "render_marked_word", "row_markers",
-                     "shift_row", "upward_adjust"), "markers"),
+    **dict.fromkeys(("MarkedWord", "MarkerRow", "dominates", "mark_all_rows",
+                     "render_marked_word", "row_markers"), "markers"),
     **dict.fromkeys(("ArrayWindow", "InsufficientWindowError", "Trapezoid",
                      "TrapezoidRow", "WidenSchedule", "build_diagram",
                      "canonical_text", "decompose", "enumerate_level", "k_blocks",

@@ -1,6 +1,5 @@
-"""Marker rows on binary words from the domination rule, plus generic
-marker-row manipulations (uniform shift, forbidden-zone fill, upward
-adjustment).
+"""Marker rows on binary words from the domination rule, for the
+``markers`` command.
 
 A marker at position ``n`` sits on the left boundary of cell ``n``.  Row
 ``k`` of a word carries a marker at ``n`` exactly when the length-``k``
@@ -12,7 +11,6 @@ carried explicitly everywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +58,19 @@ def row_markers(word: str, k: int) -> MarkerRow:
     _check_word(word)
     if k < 1:
         raise ValueError(f"row index must be >= 1, got {k}")
-    lo, hi = determined_range(len(word), k)
+    return _mark_row(word, k)
+
+
+def _determined(length: int, k: int) -> tuple[int, int]:
+    lo, hi = determined_range(length, k)
     if lo > hi:
-        raise ValueError(f"word of length {len(word)} too short for row {k}: "
+        raise ValueError(f"word of length {length} too short for row {k}: "
                          "no position is determined")
+    return lo, hi
+
+
+def _mark_row(word: str, k: int) -> MarkerRow:
+    lo, hi = _determined(len(word), k)
     # object dtype once the block values outgrow uint64
     values = np.array([int(word[j:j + k], 2) for j in range(len(word) - k + 1)],
                       dtype=np.min_scalar_type((1 << k) - 1))
@@ -72,12 +79,11 @@ def row_markers(word: str, k: int) -> MarkerRow:
 
 
 @dataclass(frozen=True)
-class GenericMarkerRows:
-    """Per-row marker sets on explicit index ranges; inputs and outputs of
-    the shift / fill / upward-adjustment pipeline.  Replacing a row gives
-    plain rows, even for a marked word: the row is no longer its rule row."""
+class MarkedWord:
+    """A binary word with its domination-rule rows 1..K."""
 
     rows: tuple[MarkerRow, ...]
+    word: str
 
     @property
     def depth(self) -> int:
@@ -88,18 +94,6 @@ class GenericMarkerRows:
             raise IndexError(f"row {k} outside 1..{len(self.rows)}")
         return self.rows[k - 1]
 
-    def replace_row(self, k: int, row: MarkerRow) -> "GenericMarkerRows":
-        rows = list(self.rows)
-        rows[k - 1] = row
-        return GenericMarkerRows(tuple(rows))
-
-
-@dataclass(frozen=True)
-class MarkedWord(GenericMarkerRows):
-    """A binary word with its domination-rule rows 1..K."""
-
-    word: str
-
 
 def mark_all_rows(word: str, rows: int) -> MarkedWord:
     """Compute rows 1..``rows`` independently from the word.
@@ -109,22 +103,11 @@ def mark_all_rows(word: str, rows: int) -> MarkedWord:
     """
     if rows < 1:
         raise ValueError(f"need at least one row, got {rows}")
-    return MarkedWord(tuple(row_markers(word, k) for k in range(1, rows + 1)), word)
-
-
-def infinite_order_positions(mw: GenericMarkerRows, rows: int | None = None) -> frozenset[int]:
-    """Positions carrying a marker in every row 1..``rows``, restricted to
-    the intersection of the determined ranges."""
-    if rows is None:
-        rows = mw.depth
-    if not 1 <= rows <= mw.depth:
-        raise ValueError(f"rows {rows} outside 1..{mw.depth}")
-    lo = max(mw.row(k).lo for k in range(1, rows + 1))
-    hi = min(mw.row(k).hi for k in range(1, rows + 1))
-    common = set(range(lo, hi + 1))
-    for k in range(1, rows + 1):
-        common &= mw.row(k).positions
-    return frozenset(common)
+    _check_word(word)
+    # row k is determined somewhere iff 3k <= len(word) + 2: fail on the
+    # first row that is not before marking any
+    _determined(len(word), min(rows, (len(word) + 2) // 3 + 1))
+    return MarkedWord(tuple(_mark_row(word, k) for k in range(1, rows + 1)), word)
 
 
 def render_marked_word(mw: MarkedWord) -> str:
@@ -142,63 +125,3 @@ def render_marked_word(mw: MarkedWord) -> str:
                 cells.append(" ?")
         lines.append("".join(cells).rstrip())
     return "\n".join(lines)
-
-
-def shift_row(rows: GenericMarkerRows, k: int, delta: int) -> GenericMarkerRows:
-    """Translate row ``k``'s markers by ``delta`` (negative = left).
-
-    The row's valid range shrinks by ``|delta|`` on the side markers moved
-    away from: a translated position is kept only where its pre-image was
-    inside the old range and it still lies inside the declared window.
-    """
-    r = rows.row(k)
-    lo = max(r.lo, r.lo + delta)
-    hi = min(r.hi, r.hi + delta)
-    moved = frozenset(p + delta for p in r.positions if lo <= p + delta <= hi)
-    return rows.replace_row(k, MarkerRow(moved, lo, hi))
-
-
-def fill_outside_forbidden(rows: GenericMarkerRows, k: int, n: int) -> GenericMarkerRows:
-    """Add markers to row ``k`` at every in-range position outside the
-    forbidden zone (the ``n-1`` positions directly right of each existing
-    marker).  Existing markers are always retained.  Afterwards consecutive
-    markers are at most ``n`` apart in the interior of the range."""
-    if n < 1:
-        raise ValueError(f"separation parameter must be >= 1, got {n}")
-    r = rows.row(k)
-    forbidden = set()
-    for m in r.positions:
-        forbidden.update(range(m + 1, m + n))
-    new = set(r.positions)
-    for p in range(r.lo, r.hi + 1):
-        if p not in forbidden:
-            new.add(p)
-    return rows.replace_row(k, MarkerRow(frozenset(new), r.lo, r.hi))
-
-
-def upward_adjust(rows: GenericMarkerRows) -> tuple[GenericMarkerRows, tuple[tuple[int, int], ...]]:
-    """Move each row-(k+1) marker left onto the nearest adjusted row-k marker.
-
-    Rows are processed bottom-up from row 1, which is never moved; row k+1
-    is matched against the already-adjusted row k.  Several markers may land
-    on one position.  A marker with no row-k marker to its left inside the
-    range is dropped; dropped markers are returned as ``(row, position)``
-    pairs.
-    """
-    if rows.depth == 0:
-        return rows, ()
-    adjusted = [rows.row(1)]
-    dropped: list[tuple[int, int]] = []
-    for k in range(2, rows.depth + 1):
-        below = adjusted[-1]
-        cur = rows.row(k)
-        anchors = sorted(below.positions)
-        out = set()
-        for p in sorted(cur.positions):
-            i = bisect_right(anchors, p)  # anchors[i - 1] is the nearest one <= p
-            if i and anchors[i - 1] >= cur.lo:
-                out.add(anchors[i - 1])
-            else:
-                dropped.append((k, p))
-        adjusted.append(MarkerRow(frozenset(out), cur.lo, cur.hi))
-    return GenericMarkerRows(tuple(adjusted)), tuple(dropped)

@@ -24,7 +24,7 @@ from . import _kernels
 from .diagram import Edge, OrderedBratteliDiagram, PathPrefix, _ints
 
 if TYPE_CHECKING:  # annotations only: building the diagram never marks a word
-    from .markers import GenericMarkerRows, MarkedWord
+    from .markers import MarkedWord
 
 
 class InsufficientWindowError(ValueError):
@@ -234,7 +234,7 @@ def _extract(rows: tuple[TrapezoidRow, ...], start: int, end: int, level: int,
     return Trapezoid(level, end - start, tuple(out))
 
 
-def k_blocks(mw: GenericMarkerRows, k: int) -> list[tuple[int, int]]:
+def k_blocks(mw: MarkedWord, k: int) -> list[tuple[int, int]]:
     """Consecutive row-k marker pairs inside the determined range."""
     positions = sorted(mw.row(k).positions)
     if len(positions) < 2:

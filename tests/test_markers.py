@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratteli.markers import (GenericMarkerRows, MarkerRow, dominates,
-                              fill_outside_forbidden, infinite_order_positions,
-                              mark_all_rows, render_marked_word, row_markers,
-                              shift_row, upward_adjust)
+import bratteli.markers
+from bratteli.markers import dominates, mark_all_rows, render_marked_word, row_markers
 from conftest import oracle_row_positions
 
 # the dense family of words with no deep marker at the center: ones, two
@@ -111,24 +109,20 @@ def test_all_ones_word_full_columns():
     for k in (1, 2, 3):
         row = mw.row(k)
         assert row.positions == frozenset(range(row.lo, row.hi + 1))
-    common = infinite_order_positions(mw)
-    assert common == frozenset(range(2, 16))  # row-3 determined range [2, 15]
 
 
-def test_infinite_order_positions_density_word():
-    mw = mark_all_rows(DENSITY_WORD, 6)
-    assert infinite_order_positions(mw) == frozenset({5})
-
-
-def test_infinite_order_equals_deepest_row_on_common_range():
-    rng = random.Random(11)
-    for _ in range(100):
-        word = "".join(rng.choice("01") for _ in range(22))
-        mw = mark_all_rows(word, 3)
-        lo = max(mw.row(k).lo for k in (1, 2, 3))
-        hi = min(mw.row(k).hi for k in (1, 2, 3))
-        expect = {p for p in mw.row(3).positions if lo <= p <= hi}
-        assert infinite_order_positions(mw) == frozenset(expect)
+def test_mark_all_rows_fails_before_marking(monkeypatch):
+    # 40 cells determine rows 1..14 only; nothing is marked before the refusal
+    calls = []
+    marks = bratteli.markers.window_max_marks
+    monkeypatch.setattr(bratteli.markers, "window_max_marks",
+                        lambda *a: calls.append(a) or marks(*a))
+    with pytest.raises(ValueError) as err:
+        mark_all_rows("01" * 20, 20)
+    assert str(err.value) == "word of length 40 too short for row 15: no position is determined"
+    assert calls == []
+    assert mark_all_rows("01" * 20, 14).row(14).determined_range == (13, 13)
+    assert len(calls) == 14
 
 
 @settings(max_examples=200)
@@ -169,96 +163,12 @@ def test_render_marked_word_format():
     assert lines[1] == " ?|1 0|1 0|1 0|1 ? ?"
 
 
-def test_shift_row_examples():
-    rows = GenericMarkerRows((MarkerRow(frozenset({2, 7, 12}), 0, 14),))
-    shifted = shift_row(rows, 1, -2)
-    assert shifted.row(1).positions == frozenset({0, 5, 10})
-    assert shifted.row(1).determined_range == (0, 12)
-    assert shift_row(rows, 1, 0).row(1) == rows.row(1)
-
-
-def test_shift_row_composition_identity_on_shrunken_range():
-    rows = GenericMarkerRows((MarkerRow(frozenset({0, 4, 9, 13}), 0, 14),))
-    back = shift_row(shift_row(rows, 1, -3), 1, 3)
-    assert back.row(1).determined_range == (3, 11)
-    assert back.row(1).positions == frozenset({4, 9})
-
-
-def test_fill_outside_forbidden_examples():
-    rows = GenericMarkerRows((MarkerRow(frozenset({0, 10}), 0, 14),))
-    filled = fill_outside_forbidden(rows, 1, 4)
-    assert sorted(filled.row(1).positions) == [0, 4, 5, 6, 7, 8, 9, 10, 14]
-    empty = GenericMarkerRows((MarkerRow(frozenset(), 0, 14),))
-    assert fill_outside_forbidden(empty, 1, 4).row(1).positions == frozenset(range(15))
-    one = GenericMarkerRows((MarkerRow(frozenset({0}), 0, 5),))
-    assert fill_outside_forbidden(one, 1, 1).row(1).positions == frozenset(range(6))
-
-
-def test_fill_interior_gap_bound():
-    rng = random.Random(3)
-    for _ in range(100):
-        markers = frozenset(p for p in range(30) if rng.random() < 0.15)
-        n = rng.randint(1, 6)
-        rows = GenericMarkerRows((MarkerRow(markers, 0, 29),))
-        out = sorted(fill_outside_forbidden(rows, 1, n).row(1).positions)
-        assert markers <= set(out)
-        assert all(b - a <= n for a, b in zip(out, out[1:]))
-
-
-def test_upward_adjust_examples():
-    rows = GenericMarkerRows((MarkerRow(frozenset({0, 3, 6, 9}), 0, 10),
-                              MarkerRow(frozenset({4, 8}), 0, 10)))
-    adjusted, dropped = upward_adjust(rows)
-    assert adjusted.row(2).positions == frozenset({3, 6})
-    assert dropped == ()
-    # already-aligned marker stays put
-    rows = GenericMarkerRows((MarkerRow(frozenset({0, 3}), 0, 5),
-                              MarkerRow(frozenset({3}), 0, 5)))
-    adjusted, dropped = upward_adjust(rows)
-    assert adjusted.row(2).positions == frozenset({3})
-    assert dropped == ()
-    # unmatched marker is dropped and reported
-    rows = GenericMarkerRows((MarkerRow(frozenset({5}), 0, 10),
-                              MarkerRow(frozenset({4, 8}), 0, 10)))
-    adjusted, dropped = upward_adjust(rows)
-    assert adjusted.row(2).positions == frozenset({5})
-    assert dropped == ((2, 4),)
-
-
-def test_upward_adjust_nesting_holds_after():
-    rng = random.Random(5)
-    for _ in range(100):
-        r1 = frozenset(p for p in range(25) if rng.random() < 0.3)
-        r2 = frozenset(p for p in range(25) if rng.random() < 0.2)
-        r3 = frozenset(p for p in range(25) if rng.random() < 0.15)
-        rows = GenericMarkerRows(tuple(MarkerRow(r, 0, 24) for r in (r1, r2, r3)))
-        adjusted, _ = upward_adjust(rows)
-        assert adjusted.row(2).positions <= adjusted.row(1).positions
-        assert adjusted.row(3).positions <= adjusted.row(2).positions
-
-
 @settings(max_examples=300)
 @given(st.integers(1, 5).flatmap(
     lambda k: st.tuples(st.just(k), st.text(alphabet="01", min_size=3 * k - 2, max_size=24))))
-def test_upward_adjust_keeps_the_rule_rows(k_word):
-    # the rule's rows are already nested, so adjusting them moves and drops nothing
+def test_rule_rows_nest(k_word):
+    # every row-(k+1) marker is a row-k marker, though the rows are computed apart
     k, word = k_word
     mw = mark_all_rows(word, k)
-    adjusted, dropped = upward_adjust(mw)
-    assert adjusted.rows == mw.rows
-    assert dropped == ()
-
-
-def test_pipeline_takes_a_marked_word():
-    mw = mark_all_rows("1001001001001", 3)
-    assert isinstance(mw, GenericMarkerRows)
-    plain = GenericMarkerRows(mw.rows)
-    shifted, filled = shift_row(mw, 1, -2), fill_outside_forbidden(mw, 3, 2)
-    # a changed row is no longer the word's rule row, so the result is plain
-    # rows, equal to those the word's rows give
-    assert type(shifted) is type(filled) is GenericMarkerRows
-    assert shifted == shift_row(plain, 1, -2)
-    assert filled == fill_outside_forbidden(plain, 3, 2)
-    assert shifted.rows[1:] == mw.rows[1:] and filled.rows[:2] == mw.rows[:2]
-    assert shifted.row(1).determined_range == (0, 10)
-    assert filled.row(3).positions == frozenset({2, 3, 5, 6, 8})
+    for r in range(1, k):
+        assert mw.row(r + 1).positions <= mw.row(r).positions
