@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bratteli.markers
-from bratteli.markers import dominates, mark_all_rows, render_marked_word, row_markers
+from bratteli.markers import (MarkedWord, MarkerRow, dominates, mark_all_rows,
+                              render_marked_word, row_markers)
 from conftest import oracle_row_positions
 
 # the dense family of words with no deep marker at the center: ones, two
@@ -123,6 +125,50 @@ def test_mark_all_rows_fails_before_marking(monkeypatch):
     assert calls == []
     assert mark_all_rows("01" * 20, 14).row(14).determined_range == (13, 13)
     assert len(calls) == 14
+
+
+
+def test_mark_all_rows_refuses_bad_input_before_marking(monkeypatch):
+    calls = []
+    marks = bratteli.markers.window_max_marks
+    monkeypatch.setattr(bratteli.markers, "window_max_marks",
+                        lambda *a: calls.append(a) or marks(*a))
+    with pytest.raises(ValueError, match=r"^need at least one row, got 0$"):
+        mark_all_rows("0110100", 0)
+    with pytest.raises(ValueError, match=r"^word must be over \{0,1\}, found \['2'\]$"):
+        mark_all_rows("01102" * 8, 3)
+    assert calls == []
+
+
+def test_mark_all_rows_equals_row_markers_row_by_row():
+    rng = random.Random(13)
+    for length in (7, 19, 40):
+        word = "".join(rng.choice("01") for _ in range(length))
+        depth = (length + 2) // 3
+        mw = mark_all_rows(word, depth)
+        assert mw.word == word and mw.depth == depth
+        assert mw.rows == tuple(row_markers(word, k) for k in range(1, depth + 1))
+
+
+def test_marked_word_fields_and_row_index():
+    rows = (MarkerRow(frozenset({0, 1, 2}), 0, 2), MarkerRow(frozenset(), 1, 1))
+    mw = MarkedWord(rows, "010")
+    assert (mw.rows, mw.word, mw.depth) == (rows, "010", 2)
+    assert [f.name for f in dataclasses.fields(MarkedWord)] == ["rows", "word"]
+    assert mw.row(1) is rows[0] and mw.row(2) is rows[1]
+    for k in (0, 3, -1):
+        with pytest.raises(IndexError, match=rf"^row {k} outside 1\.\.2$"):
+            mw.row(k)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mw.word = "111"
+    assert mw == MarkedWord(rows, "010") and mw != MarkedWord(rows, "011")
+
+
+def test_marker_row_refuses_positions_outside_its_range():
+    assert MarkerRow(frozenset({2, 5}), 2, 5).determined_range == (2, 5)
+    for positions in ({1, 3}, {3, 6}):
+        with pytest.raises(ValueError, match="^marker positions outside the declared range$"):
+            MarkerRow(frozenset(positions), 2, 5)
 
 
 @settings(max_examples=200)
