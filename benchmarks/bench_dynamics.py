@@ -54,7 +54,7 @@ ORBIT_STEPS = 256
 
 def isolated(diagram):
     return [p for base in (maximal_prefixes, minimal_prefixes)
-            for p in sorted(base(diagram, 1), key=lambda q: q.indices())
+            for p in sorted(base(diagram, 1), key=lambda q: q.edges)
             if is_isolated(diagram, p)]
 
 

@@ -31,8 +31,8 @@ def determined_range(length: int, k: int) -> tuple[int, int]:
 
 def window_max_marks(v: np.ndarray, k: int) -> np.ndarray:
     """The domination rule on ``(n_blocks, N)`` block values, of any dtype that
-    orders like the blocks (``object`` once k > 64): ``(hi-lo+1, N)`` bool
-    marker bits on the determined range ``[lo, hi]``, row ``n-lo`` for ``n``.
+    orders like the blocks: ``(hi-lo+1, N)`` bool marker bits on the
+    determined range ``[lo, hi]``, row ``n-lo`` for ``n``.
     The determined positions are those whose every covering window of block
     starts lies inside the word."""
     lo, hi = determined_range(v.shape[0] + k - 1, k)

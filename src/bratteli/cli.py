@@ -102,7 +102,7 @@ def cmd_diagnose(args) -> int:
             for p in witnesses:
                 print(f"WITNESS-PATH side={side} {p}")
     for side, base in (("max", maximal_prefixes), ("min", minimal_prefixes)):
-        isolated = [p for p in sorted(base(diagram, 1), key=lambda q: q.indices())
+        isolated = [p for p in sorted(base(diagram, 1), key=lambda q: q.edges)
                     if is_isolated(diagram, p)]
         print(f"ISOLATED side={side} depth=1 count={len(isolated)}")
         for p in isolated:

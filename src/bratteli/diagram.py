@@ -53,8 +53,6 @@ class Edge(NamedTuple):
     target: int
 
 
-# by name, so sorting by level touches every edge as an Edge: a plain tuple
-# among them fails there, not later in serialize
 _LEVEL = attrgetter("level")
 _SOURCE = itemgetter(1)
 _ORDER = itemgetter(2)
@@ -102,15 +100,16 @@ class OrderedBratteliDiagram:
 
     ``level_sizes`` gives ``|V_0|, ..., |V_K|``; ``edges`` is any iterable of
     :class:`Edge`; ``labels`` optionally attaches an opaque string payload to
-    ``(level, vertex)`` pairs.  The constructor sorts each level's edges by
-    ``(source, order)``, takes each level size through ``operator.index``,
-    and raises ``ValueError`` for what its fan tables or BVD text cannot
-    hold: a negative level size, an edge field or label vertex that is a
-    bool or no integer, an edge level outside 1..K (the least one is
-    named), an edge end outside its level, or a label off the diagram or
-    not a ``str``.  Type checks come before range checks, so an edge with a
-    ``str`` level is refused for its type.  The Bratteli axioms are left to
-    :meth:`validate`.
+    ``(level, vertex)`` pairs.  The constructor sorts the edges as tuples,
+    by level, source, order and target, so its tables depend only on which
+    edges are given, not on their order.  It takes each level size through
+    ``operator.index`` and raises ``ValueError`` for what its fan tables or
+    BVD text cannot hold: a negative level size, an edge field or label
+    vertex that is a bool or no integer, an edge level outside 1..K (the
+    least one is named), an edge end outside its level, or a label off the
+    diagram or not a ``str``.  Type checks come before range checks, so an
+    edge with a ``str`` level is refused for its type.  The Bratteli axioms
+    are left to :meth:`validate`.
     """
 
     def __init__(
@@ -144,12 +143,14 @@ class OrderedBratteliDiagram:
         this after its checks; :func:`deserialize` runs it alone, as its
         parse checks every field."""
         self._sizes = sizes
-        # sorted by (level, source, order) as three stable sorts on int keys
-        edges = sorted(sorted(sorted(edges, key=_ORDER), key=_SOURCE), key=_LEVEL)
+        # an Edge's own tuple order: level, source, order, target
+        edges = sorted(edges)
         # sorted by level, so the ends hold the least and greatest level
         if edges and not 1 <= edges[0].level <= edges[-1].level < len(sizes):
             k = next(e.level for e in edges if not 1 <= e.level < len(sizes))
             raise ValueError(f"edge level {k} outside 1..{len(sizes) - 1}")
+        # _LEVEL reads the level by name, so a plain tuple among the edges
+        # fails here, not later in serialize
         self._edges = tuple(_runs(edges, _LEVEL, len(sizes))[1:])
         self._labels = labels
         # fan tables: _out[k - 1][v] holds the E_k edges sourced at v in V_k,
@@ -157,7 +158,7 @@ class OrderedBratteliDiagram:
         self._out: list[list[tuple[Edge, ...]]] = []
         self._in: list[list[tuple[Edge, ...]]] = []
         for k, level_edges in enumerate(self._edges, start=1):
-            # stable, so each in-fan keeps the (source, order) order
+            # stable, so each in-fan keeps the order of the level's list
             by_target = tuple(sorted(level_edges, key=_TARGET))
             for ends, key, j, verb in ((level_edges, _SOURCE, k, "sources"),
                                        (by_target, _TARGET, k - 1, "targets")):
@@ -186,7 +187,7 @@ class OrderedBratteliDiagram:
         return self._sizes[level]
 
     def edges_at(self, level: int) -> tuple[Edge, ...]:
-        """All edges of E_level, sorted by ``(source, order)``."""
+        """All edges of E_level, sorted by ``(source, order, target)``."""
         if not 1 <= level <= self.depth:
             raise IndexError(f"edge level {level} outside 1..{self.depth}")
         return self._edges[level - 1]
@@ -208,17 +209,14 @@ class OrderedBratteliDiagram:
         return self._in[level - 1][vertex]
 
     def edge_index(self, e: Edge) -> int:
-        """Position of ``e`` within the serialized E_level list: bisect that
-        list, sorted by ``(source, order)``, to the run of ``e``'s pair and
-        find ``e`` from there.  Of two identical edges, which only an invalid
-        diagram has, this is the first."""
+        """Position of ``e`` within the serialized E_level list, found by one
+        bisect of that list, which is sorted as tuples.  Of two identical
+        edges, which only an invalid diagram has, this is the first."""
         level_edges = self._edges[e[0] - 1] if 1 <= e[0] <= self.depth else ()
-        # the list's edges share e's level, so it is sorted by their first three
-        # fields, and the triple e[:3] sorts just before every edge starting with it
-        try:
-            return level_edges.index(e, bisect_left(level_edges, e[:3]))
-        except ValueError:
-            raise ValueError(f"edge {e} does not belong to this diagram") from None
+        i = bisect_left(level_edges, e)
+        if i == len(level_edges) or level_edges[i] != e:
+            raise ValueError(f"edge {e} does not belong to this diagram")
+        return i
 
     def label(self, level: int, vertex: int) -> str | None:
         return self._labels.get((level, vertex))

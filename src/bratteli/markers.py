@@ -71,10 +71,10 @@ def _determined(length: int, k: int) -> tuple[int, int]:
 
 def _mark_row(word: str, k: int) -> MarkerRow:
     lo, hi = _determined(len(word), k)
-    # object dtype once the block values outgrow uint64
-    values = np.array([int(word[j:j + k], 2) for j in range(len(word) - k + 1)],
-                      dtype=np.min_scalar_type((1 << k) - 1))
-    marks = window_max_marks(values[:, None], k)[:, 0]
+    blocks = [word[j:j + k] for j in range(len(word) - k + 1)]
+    # domination is string order on equal-length blocks: rank them by it
+    rank = {block: i for i, block in enumerate(sorted(set(blocks)))}
+    marks = window_max_marks(np.array([rank[block] for block in blocks])[:, None], k)[:, 0]
     return MarkerRow(frozenset((lo + np.flatnonzero(marks)).tolist()), lo, hi)
 
 

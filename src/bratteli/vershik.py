@@ -142,7 +142,7 @@ def interior_witness(diagram: OrderedBratteliDiagram, side: Side, depth: int,
         kept = {u for u, fan in enumerate(diagram._in[k - 1])
                 if all(e.source in kept and fans[e.source][pick] == e for e in fan)}
     hits = [p for p in _extremal_prefixes(diagram, depth, pick) if p.source[1] in kept]
-    return sorted(hits, key=lambda p: p.indices())
+    return sorted(hits, key=lambda p: p.edges)
 
 
 def orbit(p: PathPrefix, steps: int) -> list[PathPrefix]:

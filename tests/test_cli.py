@@ -75,8 +75,7 @@ def test_markers_usage_errors():
 
 
 # the whole stdout of `markers` in each format, recorded at a44c207; rows 65
-# and 66 of the 260-cell word hold block values past uint64, so they are
-# marked on object arrays
+# and 66 of the 260-cell word hold blocks of more bits than a uint64 holds
 MARKER_WORDS = {
     "density": ("1" * 9 + "00" + "1" * 9, 6),
     "w40": ("1010110100100110010100111111011101100100", 4),

@@ -125,10 +125,10 @@ def test_other_integer_types_are_accepted_and_round_trip():
      [[(E(1, 0, 0, 0),), (E(1, 1, 0, 0),)], [(E(2, 0, 0, 0),)]],
      [[(E(1, 0, 0, 0), E(1, 1, 0, 0))], [(E(2, 0, 0, 0),), ()]]),
     # two E_2 edges share (source, order) but not their target; the
-    # constructor keeps them in the order given
+    # constructor lists them by target, whatever order they are given in
     ([1, 2, 1], [E(1, 0, 0, 0), E(1, 1, 0, 0), E(2, 0, 0, 1), E(2, 0, 0, 0)],
      [("order-not-permutation", 2, 0)],
-     [[(E(1, 0, 0, 0),), (E(1, 1, 0, 0),)], [(E(2, 0, 0, 1), E(2, 0, 0, 0))]],
+     [[(E(1, 0, 0, 0),), (E(1, 1, 0, 0),)], [(E(2, 0, 0, 0), E(2, 0, 0, 1))]],
      [[(E(1, 0, 0, 0), E(1, 1, 0, 0))], [(E(2, 0, 0, 0),), (E(2, 0, 0, 1),)]]),
 ])
 def test_fan_tables_on_invalid_diagrams(sizes, edges, codes, fans_from, fans_to):

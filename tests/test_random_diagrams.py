@@ -205,6 +205,43 @@ def test_random_tables_match_the_read_back_ones(seed):
     assert_reader_builds_the_same_tables(random_diagram(rng, depth=rng.randint(2, 4)))
 
 
+def assert_tables_ignore_edge_order(sizes, edges, rng: random.Random) -> OrderedBratteliDiagram:
+    """The constructor fills the same edge and fan tables, and gives each
+    edge the same position, from the edges sorted, reversed and shuffled."""
+    edges = sorted(edges)
+    d = OrderedBratteliDiagram(sizes, edges)
+    for given in (edges[::-1], rng.sample(edges, len(edges))):
+        other = OrderedBratteliDiagram(sizes, given)
+        assert other._edges == d._edges and other._out == d._out and other._in == d._in
+        assert list(map(other.edge_index, edges)) == list(map(d.edge_index, edges))
+    return d
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_tables_ignore_the_edge_order(seed):
+    rng = random.Random(seed)
+    d = random_diagram(rng, depth=rng.randint(2, 4))
+    edges = [e for k in range(1, d.depth + 1) for e in d.edges_at(k)]
+    assert_tables_ignore_edge_order(d.level_sizes, edges, rng)
+
+
+def test_tables_ignore_the_order_of_edges_sharing_source_and_order():
+    # invalid: both E_2 edges at vertex 0 have order 0; listed by target
+    d = assert_tables_ignore_edge_order(
+        [1, 2, 1], [Edge(1, 0, 0, 0), Edge(1, 1, 0, 0), Edge(2, 0, 0, 1), Edge(2, 0, 0, 0)],
+        random.Random(0))
+    assert d.edges_from(2, 0) == (Edge(2, 0, 0, 0), Edge(2, 0, 0, 1))
+
+
+def test_a_repeated_edge_takes_its_first_position():
+    twice = Edge(2, 0, 1, 0)
+    d = assert_tables_ignore_edge_order(
+        [1, 1, 1], [Edge(1, 0, 0, 0), Edge(2, 0, 2, 0), twice, Edge(2, 0, 0, 0), twice],
+        random.Random(0))
+    assert d.edges_at(2) == (Edge(2, 0, 0, 0), twice, twice, Edge(2, 0, 2, 0))
+    assert list(map(d.edge_index, d.edges_at(2))) == [0, 1, 1, 3]
+
+
 # values that compare equal to, or between, integers but whose BVD text is none
 non_integers = st.sampled_from([0.0, 1.0, 0.5, True, False])
 
